@@ -1,0 +1,102 @@
+"""Golden-digest gate: checked-in sha256 of every numeric artifact.
+
+Each case is a small seed-7 run of one experiment or figure, in csv and
+in json.  A refactor that changes a single output bit, or a numpy release
+that does, fails here.  The manifest is left out because it records the
+output directory.
+
+    PYTHONPATH=src python3 tests/test_golden_digests.py    # re-record golden_digests.json
+
+Re-record only for an output change that CHANGES.md states and explains,
+or for a numpy upgrade; never to make a refactor pass.
+"""
+
+import hashlib
+import json
+import platform
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spinbath as sb
+from spinbath.config import RunConfig
+from spinbath.runner import run
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+SEED = 7
+
+_LORENTZ = sb.CouplingDistribution.lorentzian(0.0, 0.25)
+_UNIFORM = sb.CouplingDistribution.uniform(0.5, 2.0)
+_RANDOM = sb.AmplitudeRule.random()
+
+#: Case name -> RunConfig fields besides seed, format and out_dir.
+CASES = {
+    "trace": dict(experiment="trace", n=12, amplitudes=_RANDOM, stop=3.0, steps=41),
+    "spectrum": dict(experiment="spectrum", n=10, merge=True),
+    "ldos": dict(experiment="ldos", n=10, amplitudes=_RANDOM, bins=16),
+    "ensemble": dict(
+        experiment="ensemble", n=8, distribution=_LORENTZ, realizations=5, stop=3.0, steps=21
+    ),
+    "echo": dict(experiment="echo", n=10, amplitudes=_RANDOM, stop=5.0, steps=41),
+    "average-check": dict(
+        experiment="average-check", n=8, distribution=_UNIFORM, amplitudes=_RANDOM, samples=1024
+    ),
+    "fig1": dict(experiment="figure", figure="fig1", n=6),
+    "fig2": dict(experiment="figure", figure="fig2", realizations=3, stop=2.0, steps=21),
+    "fig3": dict(experiment="figure", figure="fig3", n=8, realizations=3, stop=3.0, steps=21),
+}
+
+FORMATS = ("csv", "json")
+
+
+def artifact_digests(case: str, fmt: str, out_dir: Path) -> dict[str, str]:
+    """Run one case and return {file name: sha256} of its numeric artifacts."""
+    run(RunConfig(**CASES[case], seed=SEED, format=fmt, out_dir=out_dir, quiet=True))
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    return {
+        entry["file"]: hashlib.sha256((out_dir / entry["file"]).read_bytes()).hexdigest()
+        for entry in manifest["outputs"]
+    }
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_match_golden_digests(case, fmt, tmp_path):
+    golden = _golden()
+    got = artifact_digests(case, fmt, tmp_path)
+    assert got == golden["digests"][f"{case}/{fmt}"], (
+        f"{case} ({fmt}) artifacts changed; numpy here {np.__version__}, "
+        f"digests recorded with numpy {golden['numpy']}"
+    )
+
+
+def test_golden_file_covers_every_case():
+    expected = {f"{case}/{fmt}" for case in CASES for fmt in FORMATS}
+    assert set(_golden()["digests"]) == expected
+
+
+def _record() -> None:
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            for fmt in FORMATS:
+                digests[f"{case}/{fmt}"] = artifact_digests(case, fmt, Path(tmp) / case / fmt)
+    record = {
+        "seed": SEED,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "digests": digests,
+    }
+    GOLDEN.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")
+
+
+if __name__ == "__main__":
+    _record()

@@ -15,15 +15,8 @@ from typing import Any
 from .config import ConfigError, FIGURES, build_config, load_config
 from .errors import CapacityError, DimensionMismatchError, ValidationError
 
-_SUBCOMMAND_EXPERIMENT = {
-    "trace": "trace",
-    "spectrum": "spectrum",
-    "ldos": "ldos",
-    "ensemble": "ensemble",
-    "echo": "echo",
-    "check-average": "average-check",
-    "figure": "figure",
-}
+#: The one subcommand whose experiment has another name.
+_RENAMED = {"check-average": "average-check"}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -31,7 +24,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="root seed")
     parser.add_argument("--out-dir", dest="out_dir", metavar="DIR", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), help="artifact format")
-    parser.add_argument("--threads", type=int, help="worker threads for ensembles")
     parser.add_argument("--quiet", action="store_const", const=True, help="suppress progress output")
     parser.add_argument("--n", type=int, help="environment size")
     parser.add_argument(
@@ -80,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _overrides(args: argparse.Namespace) -> dict[str, Any]:
     from .ensembles import AmplitudeRule, CouplingDistribution
 
-    out: dict[str, Any] = {"experiment": _SUBCOMMAND_EXPERIMENT[args.command]}
+    out: dict[str, Any] = {"experiment": _RENAMED.get(args.command, args.command)}
     direct = (
-        "seed", "out_dir", "format", "threads", "quiet", "n", "realizations",
+        "seed", "out_dir", "format", "quiet", "n", "realizations",
         "start", "stop", "steps", "merge", "merge_epsilon", "bins", "horizon", "samples",
     )
     for name in direct:

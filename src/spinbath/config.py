@@ -63,7 +63,6 @@ class RunConfig:
     horizon: float | None = None
     samples: int = 4096
     figure: str | None = None
-    threads: int = 1
     quiet: bool = False
 
     def __post_init__(self) -> None:
@@ -76,14 +75,13 @@ class RunConfig:
                 raise ConfigError(f"figure experiment needs figure one of {FIGURES}")
         elif self.figure is not None:
             raise ConfigError("figure key only applies to the figure experiment")
-        for name, lo in (("n", 1), ("realizations", 1), ("steps", 1), ("samples", 1), ("threads", 1)):
+        for name, lo in (("n", 1), ("realizations", 1), ("steps", 1), ("samples", 1)):
             if int(getattr(self, name)) < lo:
                 raise ConfigError(f"{name} must be >= {lo}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "realizations", int(self.realizations))
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "threads", int(self.threads))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
@@ -101,7 +99,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "seed": ("seed", int),
         "out_dir": ("out_dir", Path),
         "format": ("format", str),
-        "threads": ("threads", int),
         "quiet": ("quiet", None),  # boolean
     },
     "model": {

@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .model import (
     CouplingSet,
     EnvironmentAmplitudes,
+    _branch_product,
     _checked_time,
     _readonly,
     _require_matching_sizes,
@@ -73,12 +74,11 @@ def echo_amplitude(
     """
     _require_matching_sizes(h0.n, h1.n, "branch Hamiltonians")
     _require_matching_sizes(h0.n, amps.n, "Hamiltonian vs amplitudes")
-    t = _checked_time(t)
-    if t == 0.0:
-        return 1.0 + 0.0j
-    up_phase = np.exp(0.5j * (h0.up - h1.up) * t)
-    down_phase = np.exp(0.5j * (h0.down - h1.down) * t)
-    return complex(np.prod(amps.alpha_sq * up_phase + amps.beta_sq * down_phase))
+    return complex(
+        _branch_product(
+            amps.alpha_sq, amps.beta_sq, h0.up - h1.up, h0.down - h1.down, 0.5 * _checked_time(t)
+        )
+    )
 
 
 def survival_probability(
@@ -86,12 +86,7 @@ def survival_probability(
 ) -> float:
     """Probability that the initial product state survives evolution under h."""
     _require_matching_sizes(h.n, amps.n, "Hamiltonian vs amplitudes")
-    t = _checked_time(t)
-    if t == 0.0:
-        return 1.0
-    amp = np.prod(
-        amps.alpha_sq * np.exp(-1j * h.up * t) + amps.beta_sq * np.exp(-1j * h.down * t)
-    )
+    amp = _branch_product(amps.alpha_sq, amps.beta_sq, h.up, h.down, -_checked_time(t))
     return float(abs(amp) ** 2)
 
 

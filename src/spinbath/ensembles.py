@@ -2,7 +2,7 @@
 
 Realization i of an ensemble draws its couplings from stream 2i and its
 amplitudes from stream 2i + 1 of the root seed (see ``rng``), so single
-runs, partial reruns, and parallel evaluation all see identical data.
+runs and partial reruns see identical data.
 A plain trace experiment is realization 0 of the matching ensemble.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,31 +239,23 @@ def ensemble_average_trace(
     grid: TimeGrid,
     *,
     keep_realizations: bool = False,
-    threads: int = 1,
 ) -> EnsembleResult:
     """Average r(t) over the ensemble's realizations.
 
-    Realizations are independent and may be evaluated in parallel; the
-    mean is always reduced in realization order so results do not depend
-    on thread scheduling.
+    Each realization is added into the mean as soon as it is evaluated, in
+    realization order, so memory stays one trace unless the realizations
+    are kept.
     """
-
-    def one(index: int) -> DecoherenceTrace:
+    acc = np.zeros(len(grid), dtype=np.complex128)
+    kept = []
+    for index in range(spec.realizations):
         couplings, amps = realization_model(spec, index)
-        return decoherence_trace(
+        trace = decoherence_trace(
             couplings, amps, grid, label=f"realization-{index}", seed=spec.seed
         )
-
-    indices = range(spec.realizations)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(one, indices))
-    else:
-        traces = [one(i) for i in indices]
-
-    acc = np.zeros(len(grid), dtype=np.complex128)
-    for trace in traces:
         acc += trace.values
+        if keep_realizations:
+            kept.append(trace)
     mean = DecoherenceTrace(
         times=grid.samples,
         values=acc / spec.realizations,
@@ -272,6 +263,4 @@ def ensemble_average_trace(
         label=f"mean[{spec.distribution}, {spec.amplitudes}, M={spec.realizations}]",
         seed=spec.seed,
     )
-    return EnsembleResult(
-        mean=mean, realizations=tuple(traces) if keep_realizations else None
-    )
+    return EnsembleResult(mean=mean, realizations=tuple(kept) if keep_realizations else None)

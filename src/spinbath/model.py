@@ -14,11 +14,12 @@ at |alpha_k|^2 = 1/2.  Couplings are angular frequencies with hbar = 1.
 
 All types are immutable value objects (arrays are marked read-only) and
 all operations are pure functions, so everything here is safe to share
-across threads.
+between concurrent callers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +30,8 @@ from .errors import DimensionMismatchError, ValidationError
 #: rejected, never silently renormalized.
 NORM_TOL = 1e-12
 
-#: Above this many spins the product is accumulated as log-magnitude plus
-#: phase so that intermediate magnitudes cannot underflow to zero.
-_LOG_PRODUCT_CUTOFF = 10_000
+#: Byte budget of one (times x spins) complex temporary in decoherence_trace.
+_BLOCK_BYTES = 4 << 20
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -70,10 +70,16 @@ class CouplingSet:
 
 @dataclass(frozen=True, eq=False)
 class EnvironmentAmplitudes:
-    """Per-spin amplitude pairs (alpha_k, beta_k), each pair normalized."""
+    """Per-spin amplitude pairs (alpha_k, beta_k), each pair normalized.
+
+    ``alpha_sq`` and ``beta_sq`` hold the branch weights |alpha_k|^2 and
+    |beta_k|^2, computed once.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
+    alpha_sq: np.ndarray = field(init=False, repr=False)
+    beta_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         alpha = np.array(self.alpha, dtype=np.complex128, copy=True)
@@ -83,27 +89,20 @@ class EnvironmentAmplitudes:
         _require_matching_sizes(alpha.size, beta.size, "amplitude pair arrays")
         if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
             raise ValidationError("amplitudes must be finite")
-        norms = _abs_sq(alpha) + _abs_sq(beta)
-        worst = float(np.max(np.abs(norms - 1.0)))
+        alpha_sq, beta_sq = _abs_sq(alpha), _abs_sq(beta)
+        worst = float(np.max(np.abs(alpha_sq + beta_sq - 1.0)))
         if worst > NORM_TOL:
             raise ValidationError(
                 f"amplitude pair norm off by {worst:.3e} (> {NORM_TOL:.0e})"
             )
         object.__setattr__(self, "alpha", _readonly(alpha))
         object.__setattr__(self, "beta", _readonly(beta))
+        object.__setattr__(self, "alpha_sq", _readonly(alpha_sq))
+        object.__setattr__(self, "beta_sq", _readonly(beta_sq))
 
     @property
     def n(self) -> int:
         return self.alpha.size
-
-    @property
-    def alpha_sq(self) -> np.ndarray:
-        """Per-spin weight |alpha_k|^2 of the spin-up branch."""
-        return _abs_sq(self.alpha)
-
-    @property
-    def beta_sq(self) -> np.ndarray:
-        return _abs_sq(self.beta)
 
     @classmethod
     def equal_superposition(cls, n: int) -> "EnvironmentAmplitudes":
@@ -225,34 +224,39 @@ class ReducedDensityMatrix:
 
 def _checked_time(t) -> float:
     t = float(t)
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise ValidationError("time must be finite")
     return t
+
+
+def _branch_product(up_w, down_w, up_rate, down_rate, t):
+    """prod_k (up_w_k e^{i up_rate_k t} + down_w_k e^{i down_rate_k t}).
+
+    ``t`` is a float, giving one value, or a column of times of shape
+    (m, 1), giving m values.  At t = 0 every factor is the pair norm
+    up_w_k + down_w_k, which is 1 only up to rounding, so exactly 1 is
+    returned there.  Every factor has modulus at most up_w_k + down_w_k = 1,
+    so no partial product is smaller than the result: the plain product
+    cannot underflow before the result itself does.
+    """
+    if isinstance(t, float) and t == 0.0:
+        return 1.0 + 0.0j
+    factors = up_w * np.exp(1j * (up_rate * t)) + down_w * np.exp(1j * (down_rate * t))
+    r = np.multiply.reduce(factors, axis=-1)  # np.prod without its Python wrapper
+    if isinstance(t, np.ndarray):
+        r[t[:, 0] == 0.0] = 1.0
+    return r
 
 
 def decoherence_factor(couplings: CouplingSet, amps: EnvironmentAmplitudes, t) -> complex:
     """Exact decoherence factor r(t) as a product over environment spins.
 
-    At t = 0 every factor reduces to the pair norm |alpha_k|^2 + |beta_k|^2,
-    which is 1 for validated inputs, so exactly 1 is returned without
-    accumulating rounding noise.  Beyond ``_LOG_PRODUCT_CUTOFF`` spins the
-    product is carried as log-magnitude plus phase; a plain product of that
-    many sub-unit magnitudes would quietly flush to zero.
+    The spin-up branch turns with +g_k and the spin-down branch with -g_k;
+    r(0) is exactly 1.
     """
     _require_matching_sizes(couplings.n, amps.n, "couplings vs amplitudes")
-    t = _checked_time(t)
-    if t == 0.0:
-        return 1.0 + 0.0j
-    phases = np.exp(1j * couplings.couplings * t)
-    factors = amps.alpha_sq * phases + amps.beta_sq * np.conj(phases)
-    if couplings.n <= _LOG_PRODUCT_CUTOFF:
-        return complex(np.prod(factors))
-    with np.errstate(divide="ignore"):
-        log_mag = float(np.sum(np.log(np.abs(factors))))
-    if log_mag == -np.inf:
-        return 0.0 + 0.0j
-    angle = float(np.sum(np.angle(factors)))
-    return complex(np.exp(log_mag) * np.exp(1j * angle))
+    g = couplings.couplings
+    return complex(_branch_product(amps.alpha_sq, amps.beta_sq, g, -g, _checked_time(t)))
 
 
 def decoherence_trace(
@@ -263,10 +267,20 @@ def decoherence_trace(
     label: str = "",
     seed: int | None = None,
 ) -> DecoherenceTrace:
-    """Evaluate r(t) on a grid, pointwise-identical to decoherence_factor."""
-    values = np.array(
-        [decoherence_factor(couplings, amps, t) for t in grid.samples],
-        dtype=np.complex128,
+    """Evaluate r(t) on a grid, bit-identical to decoherence_factor at each t.
+
+    Times go through the kernel in blocks whose (times x spins) temporaries
+    stay within ``_BLOCK_BYTES`` each.
+    """
+    _require_matching_sizes(couplings.n, amps.n, "couplings vs amplitudes")
+    g = couplings.couplings
+    times = grid.samples[:, np.newaxis]
+    block = max(1, _BLOCK_BYTES // (16 * couplings.n))
+    values = np.concatenate(
+        [
+            _branch_product(amps.alpha_sq, amps.beta_sq, g, -g, times[i : i + block])
+            for i in range(0, times.shape[0], block)
+        ]
     )
     return DecoherenceTrace(
         times=grid.samples, values=values, n_spins=couplings.n, label=label, seed=seed

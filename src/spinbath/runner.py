@@ -24,10 +24,9 @@ from .echo import DiagonalBranchHamiltonian, echo_amplitude, survival_probabilit
 from .ensembles import (
     CouplingDistribution,
     EnsembleSpec,
-    realization_model,
     ensemble_average_trace,
+    realization_model,
     sample_couplings,
-    sample_amplitudes,
 )
 from .errors import ValidationError
 from .limits import check_time_average, gaussian_validity_window, summarize
@@ -140,9 +139,23 @@ def _ensemble_table(
     art.table(name, role, header, rows)
 
 
+def _spec(cfg: RunConfig, dist=None, n: int | None = None, realizations: int = 1):
+    return EnsembleSpec(
+        distribution=cfg.distribution if dist is None else dist,
+        amplitudes=cfg.amplitudes,
+        n=cfg.n if n is None else n,
+        realizations=realizations,
+        seed=cfg.seed,
+    )
+
+
+def _model(cfg: RunConfig, dist=None, n: int | None = None):
+    """Couplings and amplitudes of a single-model run: realization 0."""
+    return realization_model(_spec(cfg, dist, n), 0)
+
+
 def _spectrum_for(cfg: RunConfig):
-    couplings = sample_couplings(cfg.distribution, cfg.n, cfg.seed, stream=0)
-    amps = sample_amplitudes(cfg.amplitudes, cfg.n, cfg.seed, stream=1)
+    couplings, amps = _model(cfg)
     spec = enumerate_walks(couplings, amps)
     epsilon = None
     if cfg.merge:
@@ -163,8 +176,7 @@ def _histogram_rows(edges: np.ndarray, masses: np.ndarray) -> list[Sequence[Any]
 
 
 def _run_trace(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
-    couplings = sample_couplings(cfg.distribution, cfg.n, cfg.seed, stream=0)
-    amps = sample_amplitudes(cfg.amplitudes, cfg.n, cfg.seed, stream=1)
+    couplings, amps = _model(cfg)
     trace = decoherence_trace(
         couplings, amps, cfg.time_grid(), label=str(cfg.distribution), seed=cfg.seed
     )
@@ -202,23 +214,12 @@ def _run_ldos(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
 
 
 def _run_ensemble(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
-    spec = EnsembleSpec(
-        distribution=cfg.distribution,
-        amplitudes=cfg.amplitudes,
-        n=cfg.n,
-        realizations=cfg.realizations,
-        seed=cfg.seed,
-    )
-    result = ensemble_average_trace(
-        spec, cfg.time_grid(), keep_realizations=True, threads=cfg.threads
-    )
-    _ensemble_table(art, "ensemble", "ensemble-traces", result.realizations, result.mean)
+    _ensemble_artifact(cfg, art, "ensemble", "ensemble-traces", cfg.distribution, cfg.n, None)
     return {"realizations": cfg.realizations}
 
 
 def _run_echo(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
-    couplings = sample_couplings(cfg.distribution, cfg.n, cfg.seed, stream=0)
-    amps = sample_amplitudes(cfg.amplitudes, cfg.n, cfg.seed, stream=1)
+    couplings, amps = _model(cfg)
     h0 = DiagonalBranchHamiltonian.from_couplings(couplings)
     h1 = -h0
     rows = []
@@ -230,8 +231,7 @@ def _run_echo(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
 
 
 def _run_average_check(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
-    couplings = sample_couplings(cfg.distribution, cfg.n, cfg.seed, stream=0)
-    amps = sample_amplitudes(cfg.amplitudes, cfg.n, cfg.seed, stream=1)
+    couplings, amps = _model(cfg)
     check = check_time_average(couplings, amps, horizon=cfg.horizon, samples=cfg.samples)
     art.json_report(
         "average_check",
@@ -261,8 +261,7 @@ def _coupling_histogram(cfg: RunConfig, art: _Artifacts, name: str, dist) -> Non
 
 
 def _energy_histogram(cfg: RunConfig, art: _Artifacts, name: str, dist, n: int) -> None:
-    couplings = sample_couplings(dist, n, cfg.seed, stream=0)
-    amps = sample_amplitudes(cfg.amplitudes, n, cfg.seed, stream=1)
+    couplings, amps = _model(cfg, dist, n)
     hist = ldos(enumerate_walks(couplings, amps), cfg.bins)
     art.table(
         name,
@@ -272,19 +271,11 @@ def _energy_histogram(cfg: RunConfig, art: _Artifacts, name: str, dist, n: int) 
     )
 
 
-def _figure_ensemble(
+def _ensemble_artifact(
     cfg: RunConfig, art: _Artifacts, name: str, role: str, dist, n: int, floor: float | None
 ) -> None:
-    spec = EnsembleSpec(
-        distribution=dist,
-        amplitudes=cfg.amplitudes,
-        n=n,
-        realizations=cfg.realizations,
-        seed=cfg.seed,
-    )
-    result = ensemble_average_trace(
-        spec, cfg.time_grid(), keep_realizations=True, threads=cfg.threads
-    )
+    spec = _spec(cfg, dist, n, cfg.realizations)
+    result = ensemble_average_trace(spec, cfg.time_grid(), keep_realizations=True)
     _ensemble_table(art, name, role, result.realizations, result.mean, floor=floor)
 
 
@@ -299,8 +290,7 @@ def _emit_fig1(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
         if cfg.distribution.kind != "fixed"
         else CouplingDistribution.gaussian(0.0, 1.0)
     )
-    couplings = sample_couplings(equal_dist, cfg.n, cfg.seed, stream=0)
-    amps = sample_amplitudes(cfg.amplitudes, cfg.n, cfg.seed, stream=1)
+    couplings, amps = _model(cfg, equal_dist)
     merged = merge_degenerate(
         enumerate_walks(couplings, amps), default_merge_epsilon(couplings)
     )
@@ -310,7 +300,7 @@ def _emit_fig1(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
         ("energy", "weight"),
         [(float(e), float(w)) for e, w in zip(merged.energies, merged.weights)],
     )
-    walk_couplings = sample_couplings(walk_dist, cfg.n, cfg.seed, stream=0)
+    walk_couplings, _ = _model(cfg, walk_dist)
     walk_spec = enumerate_walks(walk_couplings, amps)
     art.table(
         "fig1_walk_spectrum",
@@ -326,8 +316,8 @@ def _emit_fig2(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     _coupling_histogram(cfg, art, "fig2_couplings_hist", dist)
     for n in (6, 24):
         _energy_histogram(cfg, art, f"fig2_energy_hist_n{n}", dist, n)
-    _figure_ensemble(cfg, art, "fig2_traces_n6", "traces-dashed-n6", dist, 6, None)
-    _figure_ensemble(cfg, art, "fig2_traces_n24", "traces-thin-n24", dist, 24, None)
+    _ensemble_artifact(cfg, art, "fig2_traces_n6", "traces-dashed-n6", dist, 6, None)
+    _ensemble_artifact(cfg, art, "fig2_traces_n24", "traces-thin-n24", dist, 24, None)
     return {"distribution": str(dist), "mean_role": "rows with realization = -1 (bold)"}
 
 
@@ -340,11 +330,8 @@ def _emit_fig3(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     _coupling_histogram(cfg, art, "fig3_couplings_hist", dist)
     _energy_histogram(cfg, art, f"fig3_energy_hist_n{cfg.n}", dist, cfg.n)
     floor = 2.0 ** (-cfg.n / 2.0)
-    _figure_ensemble(cfg, art, f"fig3_traces_n{cfg.n}", f"traces-n{cfg.n}", dist, cfg.n, floor)
-    big_spec = EnsembleSpec(
-        distribution=dist, amplitudes=cfg.amplitudes, n=100, realizations=1, seed=cfg.seed
-    )
-    couplings, amps = realization_model(big_spec, 0)
+    _ensemble_artifact(cfg, art, f"fig3_traces_n{cfg.n}", f"traces-n{cfg.n}", dist, cfg.n, floor)
+    couplings, amps = _model(cfg, dist, 100)
     trace = decoherence_trace(
         couplings, amps, cfg.time_grid(), label=str(dist), seed=cfg.seed
     )
@@ -390,7 +377,6 @@ def _config_dict(cfg: RunConfig) -> dict[str, Any]:
         "horizon": cfg.horizon,
         "samples": cfg.samples,
         "figure": cfg.figure,
-        "threads": cfg.threads,
     }
 
 

@@ -11,7 +11,6 @@ experiment = trace
 seed = 7
 out_dir = runs/demo
 format = json
-threads = 2
 quiet = true
 
 [model]
@@ -46,7 +45,7 @@ def test_full_config_round_trip(tmp_path):
     values = load_config(write(tmp_path, FULL))
     cfg = build_config(values, {})
     assert cfg.experiment == "trace" and cfg.seed == 7
-    assert cfg.format == "json" and cfg.threads == 2 and cfg.quiet
+    assert cfg.format == "json" and cfg.quiet
     assert cfg.n == 12 and cfg.realizations == 4
     assert str(cfg.distribution) == "gaussian(0.0, 1.0)"
     assert cfg.amplitudes.up_weight == 0.75

@@ -120,13 +120,6 @@ class TestEnsembleAverage:
         direct = sb.sample_couplings(spec.distribution, 5, 17, stream=0)
         np.testing.assert_array_equal(couplings.couplings, direct.couplings)
 
-    def test_thread_count_does_not_change_bits(self):
-        spec = equal_ensemble(sb.CouplingDistribution.gaussian(0.0, 1.0), 8, 12, seed=5)
-        grid = sb.TimeGrid(0.0, 1.0, 17)
-        serial = sb.ensemble_average_trace(spec, grid)
-        threaded = sb.ensemble_average_trace(spec, grid, threads=4)
-        np.testing.assert_array_equal(serial.mean.values, threaded.mean.values)
-
     def test_every_realization_obeys_model_invariants(self):
         spec = sb.EnsembleSpec(
             distribution=sb.CouplingDistribution.lorentzian(0.0, 1.0),

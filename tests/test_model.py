@@ -1,11 +1,14 @@
 """Tests for the domain types and the exact decoherence factor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath as sb
+from spinbath.model import _BLOCK_BYTES
 from helpers import kron_branch_state, make_amplitudes, models, random_model, times
 
 
@@ -160,11 +163,29 @@ class TestTrace:
 
     def test_bitwise_identical_to_pointwise(self):
         rng = np.random.default_rng(8)
-        c, a = random_model(rng, 6)
-        grid = sb.TimeGrid(-2.0, 3.0, 41)
-        trace = sb.decoherence_trace(c, a, grid)
-        for t, v in zip(grid.samples, trace.values):
-            assert v == sb.decoherence_factor(c, a, t)
+        # The second case spans several blocks of times.
+        assert 16 * 10_000 * 101 > 3 * _BLOCK_BYTES
+        for n, steps in ((6, 41), (10_000, 101)):
+            c, a = random_model(rng, n)
+            grid = sb.TimeGrid(-2.0, 3.0, steps)
+            trace = sb.decoherence_trace(c, a, grid)
+            for t, v in zip(grid.samples, trace.values):
+                assert v == sb.decoherence_factor(c, a, t)
+
+    def test_peak_memory_is_bounded_by_time_blocks(self):
+        # One unblocked (times x spins) complex temporary would be 122 MiB.
+        rng = np.random.default_rng(4)
+        n = 20_000
+        c = sb.CouplingSet(rng.standard_normal(n))
+        a = sb.EnvironmentAmplitudes.equal_superposition(n)
+        grid = sb.TimeGrid(0.0, 1.0, 401)
+        tracemalloc.start()
+        try:
+            sb.decoherence_trace(c, a, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_metadata(self):
         c, a = random_model(np.random.default_rng(1), 2)

@@ -240,18 +240,18 @@ def check_time_average(
 
     The standard error comes from batch means (``blocks`` contiguous
     blocks), which stays honest when nearby time samples are correlated.
+    Batch means need at least two samples and two blocks.
     """
+    if samples < 2 or blocks < 2:
+        raise ValidationError("batch means need at least 2 samples and 2 blocks")
     if horizon is None:
         horizon = _default_horizon(couplings)
     sq = _sq_magnitude_samples(couplings, amps, horizon, samples)
     analytic = long_time_average_sq(amps)
     empirical = float(sq.mean())
-    blocks = max(1, min(int(blocks), sq.size))
-    if blocks >= 2:
-        block_means = np.array([b.mean() for b in np.array_split(sq, blocks)])
-        stderr = float(block_means.std(ddof=1) / math.sqrt(blocks))
-    else:
-        stderr = float("nan")
+    blocks = min(int(blocks), sq.size)
+    block_means = np.array([b.mean() for b in np.array_split(sq, blocks)])
+    stderr = float(block_means.std(ddof=1) / math.sqrt(blocks))
     gap = abs(empirical - analytic)
     n_sigma = 0.0 if gap == 0.0 else float(gap / stderr) if stderr > 0.0 else float("inf")
     return TimeAverageCheck(

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -40,37 +40,48 @@ _HIST_STREAM = 1 << 62
 _HIST_DRAWS = 10_000
 
 
-def _cell(value: Any) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> int:
-    count = 0
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-            count += 1
-    return count
-
-
 def _write_json(path: Path, payload: dict[str, Any], *, sort_keys: bool = True) -> None:
     with path.open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
 
+def _write_table(path: Path, columns: dict[str, np.ndarray]) -> int:
+    """Write equal-length named columns, in order, as CSV or JSON by suffix.
+
+    ``tolist`` yields Python ints and floats, whose ``repr`` is the
+    shortest round-trip form, in CSV cells and JSON numbers alike.
+    Returns the column length.
+    """
+    lists = {header: col.tolist() for header, col in columns.items()}
+    (rows,) = {len(col) for col in lists.values()}  # unpacking fails on ragged columns
+    if path.suffix == ".csv":
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(lists) + "\n")
+            cells = zip(*(map(repr, col) for col in lists.values()))
+            fh.writelines(",".join(line) + "\n" for line in cells)
+    else:
+        _write_json(path, lists, sort_keys=False)  # keep column order
+    return rows
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _trace_rows(trace: DecoherenceTrace) -> list[tuple[float, float, float, float]]:
-    return [
-        (float(t), v.real, v.imag, abs(v))
-        for t, v in zip(trace.times, trace.values)
-    ]
+def _r_columns(times: np.ndarray, values: np.ndarray) -> dict[str, np.ndarray]:
+    # np.hypot matches scalar abs() of a complex bit for bit; the array
+    # np.abs does not, and the published abs_r cells come from abs().
+    return {
+        "t": times,
+        "re_r": values.real,
+        "im_r": values.imag,
+        "abs_r": np.hypot(values.real, values.imag),
+    }
+
+
+def _histogram_columns(edges: np.ndarray, masses: np.ndarray) -> dict[str, np.ndarray]:
+    return {"bin_lo": edges[:-1], "bin_hi": edges[1:], "mass": masses}
 
 
 class _Artifacts:
@@ -90,18 +101,9 @@ class _Artifacts:
         if not self.quiet:
             print(f"wrote {path}")
 
-    def table(
-        self, name: str, role: str, header: Sequence[str], rows: list[Sequence[Any]]
-    ) -> None:
-        if self.fmt == "csv":
-            path = self.out_dir / f"{name}.csv"
-            count = _write_csv(path, header, rows)
-        else:
-            path = self.out_dir / f"{name}.json"
-            payload = {col: [row[i] for row in rows] for i, col in enumerate(header)}
-            _write_json(path, payload, sort_keys=False)  # keep column order
-            count = len(rows)
-        self._register(path, role, count)
+    def table(self, name: str, role: str, columns: dict[str, np.ndarray]) -> None:
+        path = self.out_dir / f"{name}.{self.fmt}"
+        self._register(path, role, _write_table(path, columns))
 
     def json_report(self, name: str, role: str, payload: dict[str, Any]) -> None:
         path = self.out_dir / f"{name}.json"
@@ -109,34 +111,26 @@ class _Artifacts:
         self._register(path, role, None)
 
 
-def _trace_table(art: _Artifacts, name: str, role: str, trace: DecoherenceTrace) -> None:
-    art.table(name, role, ("t", "re_r", "im_r", "abs_r"), _trace_rows(trace))
-
-
 def _ensemble_table(
     art: _Artifacts,
     name: str,
     role: str,
-    realizations: Sequence[DecoherenceTrace],
-    mean: DecoherenceTrace,
-    floor: float | None = None,
+    traces: Sequence[DecoherenceTrace],
+    labels: Sequence[int],
+    floor: float | None,
 ) -> None:
-    header = ["realization", "t", "re_r", "im_r", "abs_r"]
+    """Stack traces on one time grid, each row tagged with its trace's label."""
+    steps = len(traces[0])
+    columns = {"realization": np.repeat(labels, steps)}
+    columns.update(
+        _r_columns(
+            np.concatenate([trace.times for trace in traces]),
+            np.concatenate([trace.values for trace in traces]),
+        )
+    )
     if floor is not None:
-        header.append("floor")
-    rows: list[Sequence[Any]] = []
-    for index, trace in enumerate(realizations):
-        for t, v in zip(trace.times, trace.values):
-            row = [index, float(t), v.real, v.imag, abs(v)]
-            if floor is not None:
-                row.append(floor)
-            rows.append(row)
-    for t, v in zip(mean.times, mean.values):
-        row = [-1, float(t), v.real, v.imag, abs(v)]
-        if floor is not None:
-            row.append(floor)
-        rows.append(row)
-    art.table(name, role, header, rows)
+        columns["floor"] = np.full(steps * len(traces), floor)
+    art.table(name, role, columns)
 
 
 def _spec(cfg: RunConfig, dist=None, n: int | None = None, realizations: int = 1):
@@ -168,19 +162,12 @@ def _spectrum_for(cfg: RunConfig):
     return couplings, amps, spec, epsilon
 
 
-def _histogram_rows(edges: np.ndarray, masses: np.ndarray) -> list[Sequence[Any]]:
-    return [
-        (float(edges[i]), float(edges[i + 1]), float(masses[i]))
-        for i in range(masses.size)
-    ]
-
-
 def _run_trace(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     couplings, amps = _model(cfg)
     trace = decoherence_trace(
         couplings, amps, cfg.time_grid(), label=str(cfg.distribution), seed=cfg.seed
     )
-    _trace_table(art, "trace", "trace", trace)
+    art.table("trace", "trace", _r_columns(trace.times, trace.values))
     summary = summarize(couplings, amps)
     info: dict[str, Any] = {
         "mean_energy": summary.mean,
@@ -193,8 +180,7 @@ def _run_trace(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
 
 def _run_spectrum(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     _, _, spec, epsilon = _spectrum_for(cfg)
-    rows = [(float(e), float(w)) for e, w in zip(spec.energies, spec.weights)]
-    art.table("spectrum", "spectrum", ("energy", "weight"), rows)
+    art.table("spectrum", "spectrum", {"energy": spec.energies, "weight": spec.weights})
     info: dict[str, Any] = {"entries": len(spec), "merged": spec.merged}
     if epsilon is not None:
         info["merge_epsilon"] = epsilon
@@ -204,9 +190,7 @@ def _run_spectrum(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
 def _run_ldos(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     _, _, spec, epsilon = _spectrum_for(cfg)
     hist = ldos(spec, cfg.bins)
-    art.table(
-        "ldos", "ldos", ("bin_lo", "bin_hi", "mass"), _histogram_rows(hist.edges, hist.masses)
-    )
+    art.table("ldos", "ldos", _histogram_columns(hist.edges, hist.masses))
     info: dict[str, Any] = {"bins": hist.masses.size, "merged": spec.merged}
     if epsilon is not None:
         info["merge_epsilon"] = epsilon
@@ -222,11 +206,11 @@ def _run_echo(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     couplings, amps = _model(cfg)
     h0 = DiagonalBranchHamiltonian.from_couplings(couplings)
     h1 = -h0
-    rows = []
-    for t in cfg.time_grid().samples:
-        v = echo_amplitude(h0, h1, amps, t)
-        rows.append((float(t), v.real, v.imag, abs(v), survival_probability(h1, amps, t)))
-    art.table("echo", "echo-trace", ("t", "re_r", "im_r", "abs_r", "survival_p"), rows)
+    times = cfg.time_grid().samples
+    values = np.array([echo_amplitude(h0, h1, amps, t) for t in times])
+    columns = _r_columns(times, values)
+    columns["survival_p"] = np.array([survival_probability(h1, amps, t) for t in times])
+    art.table("echo", "echo-trace", columns)
     return {"branches": "h0 = (+g, -g); h1 = -h0"}
 
 
@@ -252,23 +236,13 @@ def _coupling_histogram(cfg: RunConfig, art: _Artifacts, name: str, dist) -> Non
     draws = sample_couplings(dist, _HIST_DRAWS, cfg.seed, stream=_HIST_STREAM).couplings
     bins = math.ceil(math.sqrt(_HIST_DRAWS))
     counts, edges = np.histogram(draws, bins=bins)
-    art.table(
-        name,
-        "coupling-histogram",
-        ("bin_lo", "bin_hi", "mass"),
-        _histogram_rows(edges, counts / draws.size),
-    )
+    art.table(name, "coupling-histogram", _histogram_columns(edges, counts / draws.size))
 
 
 def _energy_histogram(cfg: RunConfig, art: _Artifacts, name: str, dist, n: int) -> None:
     couplings, amps = _model(cfg, dist, n)
     hist = ldos(enumerate_walks(couplings, amps), cfg.bins)
-    art.table(
-        name,
-        f"energy-histogram-n{n}",
-        ("bin_lo", "bin_hi", "mass"),
-        _histogram_rows(hist.edges, hist.masses),
-    )
+    art.table(name, f"energy-histogram-n{n}", _histogram_columns(hist.edges, hist.masses))
 
 
 def _ensemble_artifact(
@@ -276,7 +250,8 @@ def _ensemble_artifact(
 ) -> None:
     spec = _spec(cfg, dist, n, cfg.realizations)
     result = ensemble_average_trace(spec, cfg.time_grid(), keep_realizations=True)
-    _ensemble_table(art, name, role, result.realizations, result.mean, floor=floor)
+    traces = [*result.realizations, result.mean]
+    _ensemble_table(art, name, role, traces, [*range(len(traces) - 1), -1], floor)
 
 
 def _emit_fig1(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
@@ -297,16 +272,14 @@ def _emit_fig1(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     art.table(
         "fig1_equal_spectrum",
         "equal-couplings",
-        ("energy", "weight"),
-        [(float(e), float(w)) for e, w in zip(merged.energies, merged.weights)],
+        {"energy": merged.energies, "weight": merged.weights},
     )
     walk_couplings, _ = _model(cfg, walk_dist)
     walk_spec = enumerate_walks(walk_couplings, amps)
     art.table(
         "fig1_walk_spectrum",
         "distinct-couplings",
-        ("energy", "weight"),
-        [(float(e), float(w)) for e, w in zip(walk_spec.energies, walk_spec.weights)],
+        {"energy": walk_spec.energies, "weight": walk_spec.weights},
     )
     return {"equal_distribution": str(equal_dist), "walk_distribution": str(walk_dist)}
 
@@ -335,16 +308,7 @@ def _emit_fig3(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     trace = decoherence_trace(
         couplings, amps, cfg.time_grid(), label=str(dist), seed=cfg.seed
     )
-    rows = [
-        (0, float(t), v.real, v.imag, abs(v), 2.0 ** (-50.0))
-        for t, v in zip(trace.times, trace.values)
-    ]
-    art.table(
-        "fig3_trace_n100",
-        "trace-thin-n100",
-        ("realization", "t", "re_r", "im_r", "abs_r", "floor"),
-        rows,
-    )
+    _ensemble_table(art, "fig3_trace_n100", "trace-thin-n100", [trace], [0], 2.0**-50)
     return {"distribution": str(dist), "saturation_floor": floor}
 
 

@@ -130,7 +130,7 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     groups).  Merging is opt-in so the degenerate/non-degenerate
     structure of a spectrum stays observable by default.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # also rejects NaN, which would merge everything
         raise ValidationError("merge epsilon must be nonnegative")
     order = np.argsort(spectrum.energies)
     e = spectrum.energies[order]

@@ -92,6 +92,22 @@ def test_check_average_subcommand(tmp_path):
     assert report["samples"] == 512
 
 
+def test_nan_merge_epsilon_exit_code(tmp_path, capsys):
+    out = tmp_path / "nan"
+    code = main(["spectrum", "--n", "6", "--merge", "--merge-epsilon", "nan", "--out-dir", str(out)])
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_single_sample_average_check_exit_code(tmp_path, capsys):
+    out = tmp_path / "one"
+    code = main(["check-average", "--n", "4", "--samples", "1", "--out-dir", str(out)])
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "average_check.json").exists()
+
+
 def test_figure_subcommand(tmp_path):
     code = main(
         ["figure", "--which", "fig1", "--n", "4", "--out-dir", str(tmp_path / "f"), "--quiet"]

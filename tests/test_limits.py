@@ -247,6 +247,14 @@ class TestEmpiricalTimeAverage:
         assert check.analytic == pytest.approx(sb.long_time_average_sq(a))
         assert check.n_sigma < 3.0
 
+    @pytest.mark.parametrize("samples, blocks", [(1, 32), (512, 1)])
+    def test_check_needs_two_samples_and_two_blocks(self, samples, blocks):
+        # One batch has no spread: the standard error would be NaN.
+        c = sb.CouplingSet([1.0, 2.3])
+        a = exact_half_amplitudes(2)
+        with pytest.raises(sb.ValidationError):
+            sb.check_time_average(c, a, horizon=200.0, samples=samples, blocks=blocks)
+
     def test_check_reports_fields(self):
         c = sb.CouplingSet([1.0, 2.3])
         a = exact_half_amplitudes(2)

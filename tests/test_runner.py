@@ -26,9 +26,28 @@ def check_manifest(out_dir):
     assert sorted(listed) == sorted(produced)
     assert len(set(listed)) == len(listed)
     for entry in manifest["outputs"]:
-        digest = hashlib.sha256((out_dir / entry["file"]).read_bytes()).hexdigest()
+        path = out_dir / entry["file"]
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+        if "rows" not in entry:
+            continue
+        if path.suffix == ".csv":
+            assert len(path.read_text(encoding="utf-8").splitlines()) - 1 == entry["rows"]
+        else:
+            columns = json.loads(path.read_text(encoding="utf-8"))
+            assert {len(col) for col in columns.values()} == {entry["rows"]}
     return manifest
+
+
+def test_hypot_matches_scalar_abs_bit_for_bit():
+    # The abs_r column is np.hypot(re, im); it must equal the scalar abs()
+    # of each complex value, which the array np.abs does not guarantee.
+    rng = np.random.default_rng(20031207)
+    size = 100_000
+    z = np.exp(-rng.uniform(0.0, 70.0, size) + 1j * rng.uniform(-np.pi, np.pi, size))
+    columns = np.hypot(z.real, z.imag).view(np.uint64)
+    assert np.array_equal(columns, np.array([abs(v) for v in z]).view(np.uint64))
+    assert np.array_equal(columns, np.array([abs(complex(v)) for v in z]).view(np.uint64))
 
 
 def test_trace_run_writes_contracted_columns(tmp_path):
@@ -186,8 +205,11 @@ def test_fig3_traces_carry_saturation_floor(tmp_path):
     header, rows = read_csv(tmp_path / "fig3_traces_n8.csv")
     assert header == ["realization", "t", "re_r", "im_r", "abs_r", "floor"]
     assert {float(r[5]) for r in rows} == {2.0**-4}
-    header100, _ = read_csv(tmp_path / "fig3_trace_n100.csv")
+    header100, rows100 = read_csv(tmp_path / "fig3_trace_n100.csv")
     assert header100 == ["realization", "t", "re_r", "im_r", "abs_r", "floor"]
+    assert len(rows100) == 21
+    assert {r[0] for r in rows100} == {"0"}
+    assert {float(r[5]) for r in rows100} == {2.0**-50}
     manifest = check_manifest(tmp_path)
     assert manifest["details"]["distribution"] == "lorentzian(0.0, 0.25)"
 

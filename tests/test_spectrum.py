@@ -101,8 +101,9 @@ class TestMergeDegenerate:
 
     def test_negative_epsilon_rejected(self):
         spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)
-        with pytest.raises(sb.ValidationError):
-            sb.merge_degenerate(spec, -1.0)
+        for epsilon in (-1.0, float("nan")):
+            with pytest.raises(sb.ValidationError):
+                sb.merge_degenerate(spec, epsilon)
 
     @settings(max_examples=40, deadline=None)
     @given(model=models(max_n=6), eps=st.floats(0.0, 10.0, allow_nan=False))

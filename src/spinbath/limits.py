@@ -169,11 +169,7 @@ def long_time_average_sq(amps: EnvironmentAmplitudes) -> float:
 
 
 def _default_horizon(couplings: CouplingSet) -> float:
-    nonzero = np.abs(couplings.couplings)
-    nonzero = nonzero[nonzero > 0.0]
-    if nonzero.size == 0:
-        return 1.0
-    return 100.0 * (2.0 * math.pi / float(nonzero.min()))
+    return 100.0 * (2.0 * math.pi / float(np.abs(couplings.couplings).min()))
 
 
 def _sq_magnitude_samples(
@@ -181,13 +177,16 @@ def _sq_magnitude_samples(
     amps: EnvironmentAmplitudes,
     horizon: float | None,
     samples: int,
-) -> np.ndarray:
+) -> tuple[float, np.ndarray]:
+    """The resolved horizon and |r(t)|^2 at ``samples`` times in [0, horizon)."""
     if samples < 1:
         raise ValidationError("need at least one sample")
-    if np.unique(couplings.couplings).size != couplings.n:
+    magnitudes = np.abs(couplings.couplings)
+    if not np.all(magnitudes > 0.0) or np.unique(magnitudes).size != couplings.n:
         raise ValidationError(
-            "time-average estimator requires pairwise distinct couplings; "
-            "repeated couplings break the phase-mixing it relies on"
+            "time-average estimator requires nonzero couplings with pairwise distinct "
+            "magnitudes: a zero coupling never dephases and a +-g pair repeats its "
+            "cos 2gt factor, which breaks the phase-mixing it relies on"
         )
     if horizon is None:
         horizon = _default_horizon(couplings)
@@ -197,7 +196,7 @@ def _sq_magnitude_samples(
     # Left-endpoint sampling of [0, horizon): the closed interval would
     # double-count the revival at both ends.
     times = horizon * np.arange(samples) / samples
-    return np.array(
+    return horizon, np.array(
         [abs(decoherence_factor(couplings, amps, t)) ** 2 for t in times]
     )
 
@@ -210,11 +209,14 @@ def empirical_time_average_sq(
 ) -> float:
     """Numerical time average of |r(t)|^2 over [0, horizon).
 
-    Defaults to a horizon of 100 periods of the slowest nonzero coupling.
-    The closed form it estimates assumes incommensurate couplings, so
-    inputs with repeated couplings are rejected.
+    Defaults to a horizon of 100 periods of the slowest coupling.  The
+    closed form 2^-N prod_k (1 + bias_k^2) it estimates assumes
+    incommensurate couplings, so the magnitudes |g_k| must be nonzero and
+    pairwise distinct, or ``ValidationError`` is raised: a zero coupling
+    never dephases, and a +-g pair has identical cos 2gt factors.
     """
-    return float(np.mean(_sq_magnitude_samples(couplings, amps, horizon, samples)))
+    _, sq = _sq_magnitude_samples(couplings, amps, horizon, samples)
+    return float(np.mean(sq))
 
 
 @dataclass(frozen=True)
@@ -244,9 +246,7 @@ def check_time_average(
     """
     if samples < 2 or blocks < 2:
         raise ValidationError("batch means need at least 2 samples and 2 blocks")
-    if horizon is None:
-        horizon = _default_horizon(couplings)
-    sq = _sq_magnitude_samples(couplings, amps, horizon, samples)
+    horizon, sq = _sq_magnitude_samples(couplings, amps, horizon, samples)
     analytic = long_time_average_sq(amps)
     empirical = float(sq.mean())
     blocks = min(int(blocks), sq.size)
@@ -259,6 +259,6 @@ def check_time_average(
         empirical=empirical,
         stderr=stderr,
         n_sigma=n_sigma,
-        horizon=float(horizon),
+        horizon=horizon,
         samples=int(samples),
     )

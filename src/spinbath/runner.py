@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,33 +40,69 @@ _HIST_STREAM = 1 << 62
 _HIST_DRAWS = 10_000
 
 
-def _write_json(path: Path, payload: dict[str, Any], *, sort_keys: bool = True) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
+#: Rows per chunk of a table write.  Only one chunk of each column is a
+#: Python list at a time, so writing a table takes bounded memory.
+_CHUNK_ROWS = 1 << 16
 
 
-def _write_table(path: Path, columns: dict[str, np.ndarray]) -> int:
-    """Write equal-length named columns, in order, as CSV or JSON by suffix.
+def _write_hashed(path: Path, blocks: Iterable[str]) -> str:
+    """Write text blocks to path as UTF-8; return the sha256 of the bytes written."""
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        for text in blocks:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
+def _write_json(path: Path, payload: dict[str, Any]) -> str:
+    return _write_hashed(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
+
+
+def _cells(col: np.ndarray, rows: int) -> Iterator[Iterator[str]]:
+    """The ``repr`` of each value of a column, one chunk of rows at a time.
 
     ``tolist`` yields Python ints and floats, whose ``repr`` is the
     shortest round-trip form, in CSV cells and JSON numbers alike.
-    Returns the column length.
     """
-    lists = {header: col.tolist() for header, col in columns.items()}
-    (rows,) = {len(col) for col in lists.values()}  # unpacking fails on ragged columns
-    if path.suffix == ".csv":
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(lists) + "\n")
-            cells = zip(*(map(repr, col) for col in lists.values()))
-            fh.writelines(",".join(line) + "\n" for line in cells)
-    else:
-        _write_json(path, lists, sort_keys=False)  # keep column order
-    return rows
+    for start in range(0, rows, _CHUNK_ROWS):
+        yield map(repr, col[start : start + _CHUNK_ROWS].tolist())
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _csv_blocks(columns: dict[str, np.ndarray], rows: int) -> Iterator[str]:
+    yield ",".join(columns) + "\n"
+    for chunk in zip(*(_cells(col, rows) for col in columns.values())):
+        yield "\n".join(map(",".join, zip(*chunk)))
+        yield "\n"
+
+
+def _json_blocks(columns: dict[str, np.ndarray], rows: int) -> Iterator[str]:
+    """The bytes of ``json.dump({header: col.tolist()}, indent=2)`` plus a newline."""
+    opening = "{"
+    for header, col in columns.items():
+        yield f"{opening}\n  {json.dumps(header)}: ["
+        opening = ","
+        separator = "\n    "
+        for chunk in _cells(col, rows):
+            # repr spells non-finite floats nan, inf and -inf, which no finite
+            # cell contains; json spells them NaN, Infinity and -Infinity.
+            yield separator
+            yield ",\n    ".join(chunk).replace("nan", "NaN").replace("inf", "Infinity")
+            separator = ",\n    "
+        yield "\n  ]" if rows else "]"
+    yield "\n}\n"
+
+
+def _write_table(path: Path, columns: dict[str, np.ndarray]) -> tuple[int, str]:
+    """Write equal-length named columns, in order, as CSV or JSON by suffix.
+
+    The file is streamed in chunks of rows and hashed as it is written.
+    Returns the column length and the sha256 of the file.
+    """
+    (rows,) = {len(col) for col in columns.values()}  # unpacking fails on ragged columns
+    blocks = _csv_blocks if path.suffix == ".csv" else _json_blocks
+    return rows, _write_hashed(path, blocks(columns, rows))
 
 
 def _r_columns(times: np.ndarray, values: np.ndarray) -> dict[str, np.ndarray]:
@@ -93,8 +129,8 @@ class _Artifacts:
         self.quiet = quiet
         self.entries: list[dict[str, Any]] = []
 
-    def _register(self, path: Path, role: str, rows: int | None) -> None:
-        entry: dict[str, Any] = {"file": path.name, "role": role, "sha256": _sha256(path)}
+    def _register(self, path: Path, role: str, digest: str, rows: int | None) -> None:
+        entry: dict[str, Any] = {"file": path.name, "role": role, "sha256": digest}
         if rows is not None:
             entry["rows"] = rows
         self.entries.append(entry)
@@ -103,12 +139,12 @@ class _Artifacts:
 
     def table(self, name: str, role: str, columns: dict[str, np.ndarray]) -> None:
         path = self.out_dir / f"{name}.{self.fmt}"
-        self._register(path, role, _write_table(path, columns))
+        rows, digest = _write_table(path, columns)
+        self._register(path, role, digest, rows)
 
     def json_report(self, name: str, role: str, payload: dict[str, Any]) -> None:
         path = self.out_dir / f"{name}.json"
-        _write_json(path, payload)
-        self._register(path, role, None)
+        self._register(path, role, _write_json(path, payload), None)
 
 
 def _ensemble_table(

@@ -108,6 +108,15 @@ def test_single_sample_average_check_exit_code(tmp_path, capsys):
     assert not (out / "average_check.json").exists()
 
 
+def test_zero_coupling_average_check_exit_code(tmp_path, capsys):
+    # A zero coupling never dephases; the report would hold "n_sigma": Infinity.
+    out = tmp_path / "zero"
+    code = main(["check-average", "--n", "1", "--couplings", "fixed(0)", "--out-dir", str(out)])
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "average_check.json").exists()
+
+
 def test_figure_subcommand(tmp_path):
     code = main(
         ["figure", "--which", "fig1", "--n", "4", "--out-dir", str(tmp_path / "f"), "--quiet"]

@@ -52,9 +52,13 @@ CASES = {
 FORMATS = ("csv", "json")
 
 
-def artifact_digests(case: str, fmt: str, out_dir: Path) -> dict[str, str]:
-    """Run one case and return {file name: sha256} of its numeric artifacts."""
+def run_case(case: str, fmt: str, out_dir: Path) -> Path:
     run(RunConfig(**CASES[case], seed=SEED, format=fmt, out_dir=out_dir, quiet=True))
+    return out_dir
+
+
+def artifact_digests(out_dir: Path) -> dict[str, str]:
+    """{file name: sha256} of the numeric artifacts of one run."""
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     return {
         entry["file"]: hashlib.sha256((out_dir / entry["file"]).read_bytes()).hexdigest()
@@ -66,15 +70,43 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def case_dir(tmp_path_factory):
+    """Runs each (case, format) once; the tests below share its output."""
+    dirs: dict[tuple[str, str], Path] = {}
+
+    def get(case: str, fmt: str) -> Path:
+        if (case, fmt) not in dirs:
+            dirs[case, fmt] = run_case(case, fmt, tmp_path_factory.mktemp(f"{case}-{fmt}"))
+        return dirs[case, fmt]
+
+    return get
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_artifacts_match_golden_digests(case, fmt, tmp_path):
+def test_artifacts_match_golden_digests(case, fmt, case_dir):
     golden = _golden()
-    got = artifact_digests(case, fmt, tmp_path)
+    got = artifact_digests(case_dir(case, fmt))
     assert got == golden["digests"][f"{case}/{fmt}"], (
         f"{case} ({fmt}) artifacts changed; numpy here {np.__version__}, "
         f"digests recorded with numpy {golden['numpy']}"
     )
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_json_files_are_strict_json(case, fmt, case_dir):
+    # json.loads accepts NaN and Infinity unless told otherwise; other
+    # parsers reject them, so no report or table may hold one.
+    paths = sorted(case_dir(case, fmt).glob("*.json"))
+    assert "manifest.json" in {path.name for path in paths}
+    for path in paths:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 def test_golden_file_covers_every_case():
@@ -87,7 +119,7 @@ def _record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             for fmt in FORMATS:
-                digests[f"{case}/{fmt}"] = artifact_digests(case, fmt, Path(tmp) / case / fmt)
+                digests[f"{case}/{fmt}"] = artifact_digests(run_case(case, fmt, Path(tmp) / case / fmt))
     record = {
         "seed": SEED,
         "numpy": np.__version__,

@@ -240,6 +240,17 @@ class TestEmpiricalTimeAverage:
         with pytest.raises(sb.ValidationError):
             sb.empirical_time_average_sq(c, exact_half_amplitudes(2))
 
+    @pytest.mark.parametrize("couplings", [[0.0, 1.0], [0.5, -0.5]])
+    def test_zero_and_opposite_couplings_rejected(self, couplings):
+        # A zero coupling never dephases and a +-g pair shares its cos 2gt
+        # factor: the closed form 2^-N prod(1 + bias^2) does not apply.
+        c = sb.CouplingSet(couplings)
+        a = exact_half_amplitudes(2)
+        with pytest.raises(sb.ValidationError):
+            sb.empirical_time_average_sq(c, a, horizon=200.0, samples=64)
+        with pytest.raises(sb.ValidationError):
+            sb.check_time_average(c, a, samples=64)
+
     def test_estimator_matches_closed_form(self):
         c = sb.CouplingSet(np.sqrt([2.0, 3.0, 5.0, 7.0]))
         a = sb.EnvironmentAmplitudes.equal_superposition(4)

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spinbath as sb
 from spinbath.config import RunConfig
+from spinbath import runner
 from spinbath.runner import emit_figure_data, run
 
 
@@ -48,6 +50,58 @@ def test_hypot_matches_scalar_abs_bit_for_bit():
     columns = np.hypot(z.real, z.imag).view(np.uint64)
     assert np.array_equal(columns, np.array([abs(v) for v in z]).view(np.uint64))
     assert np.array_equal(columns, np.array([abs(complex(v)) for v in z]).view(np.uint64))
+
+
+def _reference_table(path, columns):
+    """The whole-list writers the streaming writer must match byte for byte."""
+    if path.suffix == ".csv":
+        lines = zip(*(map(repr, col.tolist()) for col in columns.values()))
+        return ",".join(columns) + "\n" + "".join(",".join(line) + "\n" for line in lines)
+    return json.dumps({h: col.tolist() for h, col in columns.items()}, indent=2) + "\n"
+
+
+def _writer_cases():
+    rows = 3 * runner._CHUNK_ROWS + 5
+    rng = np.random.default_rng(20031207)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats[[0, 1, 2, runner._CHUNK_ROWS, rows - 1]] = [np.nan, np.inf, -np.inf, -0.0, np.nan]
+    return {
+        "chunks": {
+            "label": np.arange(rows, dtype=np.int64) - rows // 2,
+            "value": floats,
+            "strided": (floats[::-1] + 1j).real,
+        },
+        "empty": {"t": np.array([], dtype=np.float64), "n": np.array([], dtype=np.int64)},
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["chunks", "empty"])
+def test_streaming_writer_matches_whole_list_writers(tmp_path, case, fmt):
+    # The golden cases all fit in one chunk; this table spans four, with
+    # non-finite floats and -0.0 on chunk edges.
+    columns = _writer_cases()[case]
+    path = tmp_path / f"table.{fmt}"
+    rows, digest = runner._write_table(path, columns)
+    data = path.read_bytes()
+    expected = _reference_table(path, columns).encode("utf-8")
+    assert data == expected
+    assert rows == len(next(iter(columns.values())))
+    assert digest == hashlib.sha256(expected).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_memory_is_bounded_by_chunks(tmp_path, fmt):
+    # Two whole-column lists of 2^20 floats alone would take 64 MiB.
+    rng = np.random.default_rng(7)
+    columns = {"energy": rng.standard_normal(1 << 20), "weight": rng.random(1 << 20)}
+    tracemalloc.start()
+    try:
+        runner._write_table(tmp_path / f"table.{fmt}", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_trace_run_writes_contracted_columns(tmp_path):

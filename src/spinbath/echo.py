@@ -106,9 +106,4 @@ def branch_spectrum(
     half = CouplingSet(0.5 * (h.up - h.down))
     shift = float(np.sum(0.5 * (h.up + h.down)))
     base = enumerate_walks(half, amps, cap=cap)
-    return EnergySpectrum(
-        energies=base.energies + shift,
-        weights=base.weights,
-        n_spins=base.n_spins,
-        merged=False,
-    )
+    return EnergySpectrum._adopt(base.energies + shift, base.weights, base.n_spins, merged=False)

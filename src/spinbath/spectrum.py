@@ -36,14 +36,32 @@ class EnergySpectrum:
     merged: bool = False
 
     def __post_init__(self) -> None:
-        e = np.array(self.energies, dtype=np.float64, copy=True)
-        w = np.array(self.weights, dtype=np.float64, copy=True)
+        self._freeze(
+            np.array(self.energies, dtype=np.float64, copy=True),
+            np.array(self.weights, dtype=np.float64, copy=True),
+        )
+
+    @classmethod
+    def _adopt(
+        cls, energies: np.ndarray, weights: np.ndarray, n_spins: int, merged: bool
+    ) -> EnergySpectrum:
+        """Validate and freeze float64 arrays the caller has just allocated
+        and hands over, without the public constructor's copy."""
+        spectrum = object.__new__(cls)
+        object.__setattr__(spectrum, "n_spins", n_spins)
+        object.__setattr__(spectrum, "merged", merged)
+        spectrum._freeze(energies, weights)
+        return spectrum
+
+    def _freeze(self, e: np.ndarray, w: np.ndarray) -> None:
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
             raise ValidationError("spectrum needs matching non-empty 1-d arrays")
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(w))):
+            raise ValidationError("spectrum energies and weights must be finite")
         if np.any(w < 0.0):
             raise ValidationError("spectrum weights must be nonnegative")
         total = float(np.sum(w))
-        if abs(total - 1.0) > _WEIGHT_TOL:
+        if not abs(total - 1.0) <= _WEIGHT_TOL:
             raise ValidationError(f"spectrum weights sum to {total!r}, not 1")
         if self.merged and np.any(np.diff(e) <= 0.0):
             raise ValidationError("merged spectrum must have strictly increasing energies")
@@ -73,9 +91,11 @@ class LdosHistogram:
         masses = np.array(self.masses, dtype=np.float64, copy=True)
         if edges.ndim != 1 or masses.ndim != 1 or edges.size != masses.size + 1:
             raise ValidationError("histogram needs len(edges) == len(masses) + 1")
+        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(masses))):
+            raise ValidationError("histogram edges and masses must be finite")
         if np.any(np.diff(edges) <= 0.0):
             raise ValidationError("histogram edges must be strictly increasing")
-        if np.any(masses < 0.0) or abs(float(masses.sum()) - 1.0) > _WEIGHT_TOL:
+        if np.any(masses < 0.0) or not abs(float(masses.sum()) - 1.0) <= _WEIGHT_TOL:
             raise ValidationError("histogram masses must be nonnegative and sum to 1")
         object.__setattr__(self, "edges", _readonly(edges))
         object.__setattr__(self, "masses", _readonly(masses))
@@ -114,11 +134,11 @@ def enumerate_walks(
         half = 1 << k
         block = slice(0, half)
         mirror = slice(half, 2 * half)
-        energies[mirror] = energies[block] - g[k]
+        np.subtract(energies[block], g[k], out=energies[mirror])
         energies[block] += g[k]
-        weights[mirror] = weights[block] * down_w[k]
+        np.multiply(weights[block], down_w[k], out=weights[mirror])
         weights[block] *= up_w[k]
-    return EnergySpectrum(energies=energies, weights=weights, n_spins=n, merged=False)
+    return EnergySpectrum._adopt(energies, weights, n, merged=False)
 
 
 def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum:
@@ -132,17 +152,31 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     """
     if not epsilon >= 0.0:  # also rejects NaN, which would merge everything
         raise ValidationError("merge epsilon must be nonnegative")
+    # argsort's default kind sets the tie order, and so each group's
+    # summation order; another kind would change merged bits.
     order = np.argsort(spectrum.energies)
     e = spectrum.energies[order]
     w = spectrum.weights[order]
+    del order
     starts = np.empty(e.size, dtype=bool)
     starts[0] = True
-    starts[1:] = np.diff(e) > epsilon
-    group = np.cumsum(starts) - 1
+    np.greater(np.diff(e), epsilon, out=starts[1:])
+    levels = e[starts]
+    level_w = w[starts]
+    # A singleton group's sums are base + 0.0 and 0.0 + w, which only
+    # change -0.0 (to 0.0); adding 0.0 in place gives the same bits.
+    levels += 0.0
+    level_w += 0.0
+    # Only groups with two or more members need summing; from here on
+    # e and w hold just their entries.
+    joins = np.flatnonzero(~starts)
+    idx = np.union1d(joins - 1, joins)
+    e, w, head = e[idx], w[idx], starts[idx]
+    group = np.cumsum(head) - 1
     w_sum = np.bincount(group, weights=w)
     # Averaging offsets from each group's lowest energy keeps exactly
     # degenerate groups at their exact energy (no double rounding).
-    base = e[starts]
+    base = e[head]
     delta = e - base[group]
     safe = np.where(w_sum > 0.0, w_sum, 1.0)
     mean_delta = np.bincount(group, weights=w * delta) / safe
@@ -150,12 +184,12 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
         counts = np.bincount(group)
         plain = np.bincount(group, weights=delta) / counts
         mean_delta = np.where(w_sum > 0.0, mean_delta, plain)
-    return EnergySpectrum(
-        energies=base + mean_delta,
-        weights=w_sum,
-        n_spins=spectrum.n_spins,
-        merged=True,
-    )
+    # A group head's level is its position less the joins before it.
+    heads = idx[head]
+    rows = heads - np.searchsorted(joins, heads)
+    levels[rows] = base + mean_delta
+    level_w[rows] = w_sum
+    return EnergySpectrum._adopt(levels, level_w, spectrum.n_spins, merged=True)
 
 
 def default_merge_epsilon(couplings: CouplingSet) -> float:

@@ -1,8 +1,9 @@
 """Shared oracles and strategies for the test suite.
 
 The oracles here deliberately avoid the library's own code paths:
-walk enumeration uses itertools over explicit sign tuples, and branch
-overlaps go through fully expanded 2^N state vectors.
+walk enumeration uses itertools over explicit sign tuples, branch
+overlaps go through fully expanded 2^N state vectors, and degeneracy
+merging sums every group of the whole array.
 """
 
 import itertools
@@ -51,6 +52,28 @@ def brute_force_spectrum(couplings: sb.CouplingSet, amps: sb.EnvironmentAmplitud
             weight *= down[k] if s else up[k]
         entries.append((energy, weight))
     return entries
+
+
+def whole_array_merge(energies, weights, epsilon: float):
+    """Degeneracy merge that runs the group sums over every entry,
+    singletons included; returns (energies, weights)."""
+    order = np.argsort(energies)
+    e = energies[order]
+    w = weights[order]
+    starts = np.empty(e.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = np.diff(e) > epsilon
+    group = np.cumsum(starts) - 1
+    w_sum = np.bincount(group, weights=w)
+    base = e[starts]
+    delta = e - base[group]
+    safe = np.where(w_sum > 0.0, w_sum, 1.0)
+    mean_delta = np.bincount(group, weights=w * delta) / safe
+    if np.any(w_sum == 0.0):
+        counts = np.bincount(group)
+        plain = np.bincount(group, weights=delta) / counts
+        mean_delta = np.where(w_sum > 0.0, mean_delta, plain)
+    return base + mean_delta, w_sum
 
 
 def brute_force_characteristic(couplings, amps, t: float) -> complex:

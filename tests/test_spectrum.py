@@ -1,6 +1,7 @@
 """Tests for walk enumeration, merging, histograms and the characteristic function."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,46 @@ from helpers import (
     make_amplitudes,
     models,
     random_model,
+    whole_array_merge,
 )
+
+
+def traced_peak(fn, *args):
+    """Result of fn(*args) and the peak bytes it allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def merge_cases():
+    """(energies, weights) pairs that exercise every branch of the merge."""
+    cases = [
+        # Exact ties with unequal weights.
+        ([1.0, 0.5, 1.0, 0.5, 1.0], [0.1, 0.2, 0.3, 0.15, 0.25]),
+        # Zero-weight groups: exact ties and a pair 5e-10 apart.
+        ([3.0, 0.0, 3.0, 2.0, 2.0 + 5e-10], [0.0, 1.0, 0.0, 0.0, 0.0]),
+        # Multi-member groups at the first and the last index.
+        ([-1.0, 1.0, 0.0, -1.0 + 1e-10, 1.0], [0.1, 0.2, 0.3, 0.25, 0.15]),
+        # All singletons, and a single group.
+        ([-2.0, 0.5, 3.0], [0.25, 0.5, 0.25]),
+        ([0.25, 0.25, 0.25 + 1e-12, 0.25], [0.125, 0.5, 0.25, 0.125]),
+        # Signed zeros.
+        ([-0.0, 1.0, -0.0, 2.0], [0.25, 0.25, 0.25, 0.25]),
+        ([0.0, 1.0, 2.0, 2.0], [0.5, -0.0, 0.5, -0.0]),
+    ]
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        e = 0.5 * rng.integers(-4, 5, n) + rng.choice([0.0, 2e-10, 0.3], n)
+        w = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+        if not w.any():
+            w[0] = 1.0
+        cases.append((e, w / w.sum()))
+    return cases
 
 
 class TestEnumerateWalks:
@@ -66,6 +106,54 @@ class TestEnumerateWalks:
         assert float(spec.weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestEnergySpectrum:
+    @pytest.mark.parametrize(
+        "energies, weights",
+        [
+            ([0.0, 1.0], [float("nan"), 1.0]),
+            ([float("nan"), 1.0], [0.5, 0.5]),
+            ([float("inf"), 1.0], [0.5, 0.5]),
+            ([-1.0, float("-inf")], [0.5, 0.5]),
+        ],
+        ids=["nan-weight", "nan-energy", "inf-energy", "-inf-energy"],
+    )
+    def test_non_finite_values_rejected(self, energies, weights):
+        with pytest.raises(sb.ValidationError, match="finite"):
+            sb.EnergySpectrum(energies=energies, weights=weights, n_spins=1)
+
+    def test_public_constructor_copies_caller_arrays(self):
+        e = np.array([0.0, 1.0])
+        w = np.array([0.5, 0.5])
+        spec = sb.EnergySpectrum(energies=e, weights=w, n_spins=1)
+        e[0] = 5.0
+        w[:] = [1.0, 0.0]
+        assert spec.energies.tolist() == [0.0, 1.0]
+        assert spec.weights.tolist() == [0.5, 0.5]
+        assert e.flags.writeable and w.flags.writeable
+        assert not (spec.energies.flags.writeable or spec.weights.flags.writeable)
+
+    def test_handed_over_arrays_are_frozen(self):
+        c, a = random_model(np.random.default_rng(8), 5)
+        spec = sb.enumerate_walks(c, a)
+        h = sb.DiagonalBranchHamiltonian(up=c.couplings, down=-0.5 * c.couplings)
+        for s in (spec, sb.merge_degenerate(spec, 0.0), sb.branch_spectrum(h, a)):
+            assert not (s.energies.flags.writeable or s.weights.flags.writeable)
+
+    def test_enumeration_peak_memory(self):
+        # N = 20: 8 MiB per walk column, 16 MiB for the spectrum itself.
+        c, a = random_model(np.random.default_rng(11), 20)
+        spec, peak = traced_peak(sb.enumerate_walks, c, a)
+        assert len(spec) == 2**20
+        assert peak < 24 * 2**20
+
+    def test_merge_peak_memory_above_its_input(self):
+        c, a = random_model(np.random.default_rng(11), 20)
+        spec = sb.enumerate_walks(c, a)
+        merged, peak = traced_peak(sb.merge_degenerate, spec, sb.default_merge_epsilon(c))
+        assert len(merged) > 2**19
+        assert peak < 48 * 2**20
+
+
 class TestMergeDegenerate:
     def test_distinct_energies_unchanged(self):
         spec = sb.EnergySpectrum(
@@ -99,6 +187,15 @@ class TestMergeDegenerate:
         assert float(merged.weights[0]) == 1.0
         assert merged.energies[0] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 10.0])
+    def test_bit_identical_to_whole_array_merge(self, epsilon):
+        for energies, weights in merge_cases():
+            spec = sb.EnergySpectrum(energies=energies, weights=weights, n_spins=1)
+            merged = sb.merge_degenerate(spec, epsilon)
+            want_e, want_w = whole_array_merge(spec.energies, spec.weights, epsilon)
+            assert merged.energies.view(np.int64).tolist() == want_e.view(np.int64).tolist()
+            assert merged.weights.view(np.int64).tolist() == want_w.view(np.int64).tolist()
+
     def test_negative_epsilon_rejected(self):
         spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)
         for epsilon in (-1.0, float("nan")):
@@ -131,6 +228,20 @@ class TestLdos:
         hist = sb.ldos(spec)
         assert hist.masses.size == math.ceil(math.sqrt(2**10))
         assert float(hist.masses.sum()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "edges, masses",
+        [
+            ([0.0, 1.0, 2.0], [float("nan"), 1.0]),
+            ([0.0, float("nan"), 2.0], [0.5, 0.5]),
+            ([float("-inf"), 0.0, 1.0], [0.5, 0.5]),
+        ],
+        ids=["nan-mass", "nan-edge", "inf-edge"],
+    )
+    def test_non_finite_histogram_rejected(self, edges, masses):
+        spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)
+        with pytest.raises(sb.ValidationError, match="finite"):
+            sb.LdosHistogram(edges=edges, masses=masses, spectrum=spec)
 
     def test_invalid_bins(self):
         spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)

@@ -8,6 +8,7 @@ A plain trace experiment is realization 0 of the matching ensemble.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -191,16 +192,27 @@ def sample_couplings(
     return CouplingSet(values)
 
 
+@functools.lru_cache(maxsize=1)
+def _seedless_amplitudes(rule: AmplitudeRule, n: int, spelling: str) -> EnvironmentAmplitudes:
+    """The amplitudes of an 'equal' or 'fixed' rule, which ignore the seed.
+
+    One immutable instance serves every realization of an ensemble.  The
+    spelling ``str(rule)`` is part of the cache key because fixed(-0.0)
+    equals fixed(0.0) but gives alpha = -0.0.
+    """
+    if rule.kind == "equal":
+        return EnvironmentAmplitudes.equal_superposition(n)
+    return EnvironmentAmplitudes.from_up_weights(np.full(n, rule.up_weight))
+
+
 def sample_amplitudes(
     rule: AmplitudeRule, n: int, seed: int, *, stream: int = 1
 ) -> EnvironmentAmplitudes:
     """Build N amplitude pairs under the rule; deterministic in (seed, stream)."""
     if n < 1:
         raise ValidationError("need at least one amplitude pair")
-    if rule.kind == "equal":
-        return EnvironmentAmplitudes.equal_superposition(n)
-    if rule.kind == "fixed":
-        return EnvironmentAmplitudes.from_up_weights(np.full(n, rule.up_weight))
+    if rule.kind != "random":
+        return _seedless_amplitudes(rule, n, str(rule))
     gen = stream_generator(seed, stream)
     z = standard_normal(gen, 4 * n)
     alpha = z[0::4] + 1j * z[1::4]

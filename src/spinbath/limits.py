@@ -19,7 +19,7 @@ from .errors import DegenerateDistributionError, ValidationError
 from .model import (
     CouplingSet,
     EnvironmentAmplitudes,
-    decoherence_factor,
+    decoherence_trace,
     _readonly,
     _require_matching_sizes,
 )
@@ -196,9 +196,10 @@ def _sq_magnitude_samples(
     # Left-endpoint sampling of [0, horizon): the closed interval would
     # double-count the revival at both ends.
     times = horizon * np.arange(samples) / samples
-    return horizon, np.array(
-        [abs(decoherence_factor(couplings, amps, t)) ** 2 for t in times]
-    )
+    # abs() of each Python complex, squared: np.square(np.hypot(re, im))
+    # differs from it in the last bit for some values.
+    values = decoherence_trace(couplings, amps, times).values.tolist()
+    return horizon, np.array([abs(r) ** 2 for r in values])
 
 
 def empirical_time_average_sq(

@@ -262,19 +262,26 @@ def decoherence_factor(couplings: CouplingSet, amps: EnvironmentAmplitudes, t) -
 def decoherence_trace(
     couplings: CouplingSet,
     amps: EnvironmentAmplitudes,
-    grid: TimeGrid,
+    grid: TimeGrid | np.ndarray,
     *,
     label: str = "",
     seed: int | None = None,
 ) -> DecoherenceTrace:
     """Evaluate r(t) on a grid, bit-identical to decoherence_factor at each t.
 
+    ``grid`` is a ``TimeGrid`` or a non-empty 1-d array of finite times.
     Times go through the kernel in blocks whose (times x spins) temporaries
     stay within ``_BLOCK_BYTES`` each.
     """
     _require_matching_sizes(couplings.n, amps.n, "couplings vs amplitudes")
+    if isinstance(grid, TimeGrid):
+        samples = grid.samples
+    else:
+        samples = np.asarray(grid, dtype=np.float64)
+        if samples.ndim != 1 or samples.size < 1 or not np.all(np.isfinite(samples)):
+            raise ValidationError("times must be a non-empty 1-d array of finite values")
     g = couplings.couplings
-    times = grid.samples[:, np.newaxis]
+    times = samples[:, np.newaxis]
     block = max(1, _BLOCK_BYTES // (16 * couplings.n))
     values = np.concatenate(
         [
@@ -283,7 +290,7 @@ def decoherence_trace(
         ]
     )
     return DecoherenceTrace(
-        times=grid.samples, values=values, n_spins=couplings.n, label=label, seed=seed
+        times=samples, values=values, n_spins=couplings.n, label=label, seed=seed
     )
 
 

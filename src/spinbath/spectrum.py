@@ -54,6 +54,11 @@ class EnergySpectrum:
         return spectrum
 
     def _freeze(self, e: np.ndarray, w: np.ndarray) -> None:
+        n = self.n_spins
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"n_spins must be an int >= 1, got {n!r}")
+        if not isinstance(self.merged, bool):
+            raise ValidationError(f"merged must be a bool, got {self.merged!r}")
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
             raise ValidationError("spectrum needs matching non-empty 1-d arrays")
         if not (np.all(np.isfinite(e)) and np.all(np.isfinite(w))):
@@ -65,6 +70,7 @@ class EnergySpectrum:
             raise ValidationError(f"spectrum weights sum to {total!r}, not 1")
         if self.merged and np.any(np.diff(e) <= 0.0):
             raise ValidationError("merged spectrum must have strictly increasing energies")
+        object.__setattr__(self, "n_spins", int(n))
         object.__setattr__(self, "energies", _readonly(e))
         object.__setattr__(self, "weights", _readonly(w))
 

@@ -92,6 +92,29 @@ class TestSampling:
         np.testing.assert_array_equal(amps.alpha, np.ones(3, dtype=complex))
         np.testing.assert_array_equal(amps.beta, np.zeros(3, dtype=complex))
 
+    @pytest.mark.parametrize("rule", ["equal", "fixed(0.3)"])
+    def test_seedless_rules_share_one_instance(self, rule):
+        rule = sb.AmplitudeRule.parse(rule)
+        spec = sb.EnsembleSpec(sb.CouplingDistribution.fixed(1.0), rule, 5, 3, 7)
+        first, *rest = [sb.realization_model(spec, i)[1] for i in range(3)]
+        assert all(amps is first for amps in rest)
+        amps = sb.sample_amplitudes(rule, 5, seed=99, stream=4)
+        fresh = (
+            sb.EnvironmentAmplitudes.equal_superposition(5)
+            if rule.kind == "equal"
+            else sb.EnvironmentAmplitudes.from_up_weights(np.full(5, rule.up_weight))
+        )
+        for name in ("alpha", "beta", "alpha_sq", "beta_sq"):
+            assert getattr(amps, name).tobytes() == getattr(fresh, name).tobytes()
+        assert sb.sample_amplitudes(rule, 6, seed=7).n == 6
+
+    def test_seedless_rules_keep_the_sign_of_zero(self):
+        # fixed(-0.0) == fixed(0.0), yet its alpha is -0.0, not 0.0.
+        plus = sb.sample_amplitudes(sb.AmplitudeRule.fixed(0.0), 2, seed=0)
+        minus = sb.sample_amplitudes(sb.AmplitudeRule.fixed(-0.0), 2, seed=0)
+        assert np.signbit(plus.alpha.real).tolist() == [False, False]
+        assert np.signbit(minus.alpha.real).tolist() == [True, True]
+
     def test_random_amplitudes_normalized_and_deterministic(self):
         amps = sb.sample_amplitudes(sb.AmplitudeRule.random(), 256, seed=11, stream=9)
         norms = np.abs(amps.alpha) ** 2 + np.abs(amps.beta) ** 2

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath as sb
+from spinbath import limits
+from spinbath.model import _BLOCK_BYTES
 from helpers import exact_half_amplitudes, make_amplitudes, models, random_model
 
 
@@ -250,6 +252,24 @@ class TestEmpiricalTimeAverage:
             sb.empirical_time_average_sq(c, a, horizon=200.0, samples=64)
         with pytest.raises(sb.ValidationError):
             sb.check_time_average(c, a, samples=64)
+
+    @pytest.mark.parametrize("rule, n", [("equal", 24), ("random", 100)])
+    def test_samples_match_pointwise_abs_bit_for_bit(self, rule, n):
+        # N = 24 with equal amplitudes is check-average's default model; the
+        # N = 100 case runs its times through at least three kernel blocks.
+        # Both give |r|^2 far from underflow, where squaring np.hypot(re, im)
+        # instead of scalar abs() changes bits.
+        spec = sb.EnsembleSpec(
+            sb.CouplingDistribution.uniform(0.5, 2.0), sb.AmplitudeRule.parse(rule), n, 1, 7
+        )
+        c, a = sb.realization_model(spec, 0)
+        samples = 8192
+        assert n == 24 or samples * 16 * n >= 3 * _BLOCK_BYTES
+        horizon, sq = limits._sq_magnitude_samples(c, a, None, samples)
+        times = horizon * np.arange(samples) / samples
+        expected = np.array([abs(sb.decoherence_factor(c, a, t)) ** 2 for t in times])
+        assert np.all(expected > 1e-300)
+        assert np.array_equal(sq.view(np.int64), expected.view(np.int64))
 
     def test_estimator_matches_closed_form(self):
         c = sb.CouplingSet(np.sqrt([2.0, 3.0, 5.0, 7.0]))

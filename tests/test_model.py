@@ -187,6 +187,23 @@ class TestTrace:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_times_array_matches_pointwise(self):
+        c, a = random_model(np.random.default_rng(12), 7)
+        times = np.array([0.0, 2.5, -1.25, 0.0, 40.0, 1e-3])
+        trace = sb.decoherence_trace(c, a, times)
+        assert trace.times.tolist() == times.tolist()
+        for t, v in zip(times, trace.values):
+            assert v == sb.decoherence_factor(c, a, t)
+        assert trace.values[0] == trace.values[3] == 1.0 + 0.0j
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, np.nan], [[0.0, 1.0]], [], np.inf, 0.5], ids=["nan", "2d", "empty", "inf", "0d"]
+    )
+    def test_times_array_rejected(self, times):
+        c, a = random_model(np.random.default_rng(13), 3)
+        with pytest.raises(sb.ValidationError):
+            sb.decoherence_trace(c, a, np.array(times))
+
     def test_metadata(self):
         c, a = random_model(np.random.default_rng(1), 2)
         trace = sb.decoherence_trace(c, a, sb.TimeGrid(0.0, 1.0, 3), label="demo", seed=9)

@@ -91,17 +91,20 @@ def test_streaming_writer_matches_whole_list_writers(tmp_path, case, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_table_writer_memory_is_bounded_by_chunks(tmp_path, fmt):
-    # Two whole-column lists of 2^20 floats alone would take 64 MiB.
+def test_table_writer_memory_is_bounded_by_chunks(tmp_path, fmt, monkeypatch):
+    # A 16-chunk table at 1/16 of the real chunk size keeps the test fast;
+    # the bound scales with it.  Two whole-column lists of 2^16 floats alone
+    # would take 4 MiB; one list of either column already exceeds the bound.
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", 1 << 12)
     rng = np.random.default_rng(7)
-    columns = {"energy": rng.standard_normal(1 << 20), "weight": rng.random(1 << 20)}
+    columns = {"energy": rng.standard_normal(1 << 16), "weight": rng.random(1 << 16)}
     tracemalloc.start()
     try:
         runner._write_table(tmp_path / f"table.{fmt}", columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 1.5 * 2**20
 
 
 def test_trace_run_writes_contracted_columns(tmp_path):

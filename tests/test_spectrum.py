@@ -121,6 +121,24 @@ class TestEnergySpectrum:
         with pytest.raises(sb.ValidationError, match="finite"):
             sb.EnergySpectrum(energies=energies, weights=weights, n_spins=1)
 
+    @pytest.mark.parametrize(
+        "n_spins", [-3, 0, True, 2.0, "2", None], ids=["negative", "zero", "bool", "float", "str", "none"]
+    )
+    def test_bad_n_spins_rejected(self, n_spins):
+        with pytest.raises(sb.ValidationError, match="n_spins"):
+            sb.EnergySpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=n_spins)
+
+    @pytest.mark.parametrize(
+        "merged", [0, 1, None, "yes", np.bool_(True)], ids=["0", "1", "none", "str", "numpy-bool"]
+    )
+    def test_non_bool_merged_rejected(self, merged):
+        with pytest.raises(sb.ValidationError, match="merged"):
+            sb.EnergySpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=1, merged=merged)
+
+    def test_numpy_int_n_spins_stored_as_int(self):
+        spec = sb.EnergySpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=np.int64(2))
+        assert type(spec.n_spins) is int and spec.n_spins == 2
+
     def test_public_constructor_copies_caller_arrays(self):
         e = np.array([0.0, 1.0])
         w = np.array([0.5, 0.5])

@@ -98,14 +98,7 @@ class TestSampling:
         spec = sb.EnsembleSpec(sb.CouplingDistribution.fixed(1.0), rule, 5, 3, 7)
         first, *rest = [sb.realization_model(spec, i)[1] for i in range(3)]
         assert all(amps is first for amps in rest)
-        amps = sb.sample_amplitudes(rule, 5, seed=99, stream=4)
-        fresh = (
-            sb.EnvironmentAmplitudes.equal_superposition(5)
-            if rule.kind == "equal"
-            else sb.EnvironmentAmplitudes.from_up_weights(np.full(5, rule.up_weight))
-        )
-        for name in ("alpha", "beta", "alpha_sq", "beta_sq"):
-            assert getattr(amps, name).tobytes() == getattr(fresh, name).tobytes()
+        assert sb.sample_amplitudes(rule, 5, seed=99, stream=4) is first
         assert sb.sample_amplitudes(rule, 6, seed=7).n == 6
 
     def test_seedless_rules_keep_the_sign_of_zero(self):

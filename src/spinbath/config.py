@@ -25,6 +25,7 @@ file values.  Example::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -78,6 +79,16 @@ class RunConfig:
         for name, lo in (("n", 1), ("realizations", 1), ("steps", 1), ("samples", 1)):
             if int(getattr(self, name)) < lo:
                 raise ConfigError(f"{name} must be >= {lo}")
+        # Checked whatever the experiment: every value lands in manifest.json,
+        # which holds strict JSON (no NaN or Infinity).
+        for name in ("start", "stop", "merge_epsilon", "horizon"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.merge_epsilon is not None and self.merge_epsilon < 0.0:
+            raise ConfigError("merge_epsilon must be >= 0")
+        if self.horizon is not None and self.horizon <= 0.0:
+            raise ConfigError("horizon must be > 0")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "realizations", int(self.realizations))
         object.__setattr__(self, "steps", int(self.steps))

@@ -262,17 +262,9 @@ def ensemble_average_trace(
     kept = []
     for index in range(spec.realizations):
         couplings, amps = realization_model(spec, index)
-        trace = decoherence_trace(
-            couplings, amps, grid, label=f"realization-{index}", seed=spec.seed
-        )
+        trace = decoherence_trace(couplings, amps, grid)
         acc += trace.values
         if keep_realizations:
             kept.append(trace)
-    mean = DecoherenceTrace(
-        times=grid.samples,
-        values=acc / spec.realizations,
-        n_spins=spec.n,
-        label=f"mean[{spec.distribution}, {spec.amplitudes}, M={spec.realizations}]",
-        seed=spec.seed,
-    )
+    mean = DecoherenceTrace(times=grid.samples, values=acc / spec.realizations, n_spins=spec.n)
     return EnsembleResult(mean=mean, realizations=tuple(kept) if keep_realizations else None)

@@ -165,13 +165,11 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class DecoherenceTrace:
-    """Sampled complex r(t) on a time grid, plus model metadata."""
+    """Sampled complex r(t) on a time grid, and the environment size."""
 
     times: np.ndarray
     values: np.ndarray
     n_spins: int
-    label: str = ""
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=np.float64, copy=True)
@@ -263,9 +261,6 @@ def decoherence_trace(
     couplings: CouplingSet,
     amps: EnvironmentAmplitudes,
     grid: TimeGrid | np.ndarray,
-    *,
-    label: str = "",
-    seed: int | None = None,
 ) -> DecoherenceTrace:
     """Evaluate r(t) on a grid, bit-identical to decoherence_factor at each t.
 
@@ -289,9 +284,7 @@ def decoherence_trace(
             for i in range(0, times.shape[0], block)
         ]
     )
-    return DecoherenceTrace(
-        times=samples, values=values, n_spins=couplings.n, label=label, seed=seed
-    )
+    return DecoherenceTrace(times=samples, values=values, n_spins=couplings.n)
 
 
 def evolve_environment_branch(

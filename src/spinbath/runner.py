@@ -155,7 +155,7 @@ def _ensemble_table(
     labels: Sequence[int],
     floor: float | None,
 ) -> None:
-    """Stack traces on one time grid, each row tagged with its trace's label."""
+    """Stack traces on one time grid, each row tagged with its entry of ``labels``."""
     steps = len(traces[0])
     columns = {"realization": np.repeat(labels, steps)}
     columns.update(
@@ -200,9 +200,7 @@ def _spectrum_for(cfg: RunConfig):
 
 def _run_trace(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     couplings, amps = _model(cfg)
-    trace = decoherence_trace(
-        couplings, amps, cfg.time_grid(), label=str(cfg.distribution), seed=cfg.seed
-    )
+    trace = decoherence_trace(couplings, amps, cfg.time_grid())
     art.table("trace", "trace", _r_columns(trace.times, trace.values))
     summary = summarize(couplings, amps)
     info: dict[str, Any] = {
@@ -341,9 +339,7 @@ def _emit_fig3(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     floor = 2.0 ** (-cfg.n / 2.0)
     _ensemble_artifact(cfg, art, f"fig3_traces_n{cfg.n}", f"traces-n{cfg.n}", dist, cfg.n, floor)
     couplings, amps = _model(cfg, dist, 100)
-    trace = decoherence_trace(
-        couplings, amps, cfg.time_grid(), label=str(dist), seed=cfg.seed
-    )
+    trace = decoherence_trace(couplings, amps, cfg.time_grid())
     _ensemble_table(art, "fig3_trace_n100", "trace-thin-n100", [trace], [0], 2.0**-50)
     return {"distribution": str(dist), "saturation_floor": floor}
 

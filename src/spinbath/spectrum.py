@@ -155,15 +155,26 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     weight and weight-averaged energy (plain average for zero-weight
     groups).  Merging is opt-in so the degenerate/non-degenerate
     structure of a spectrum stays observable by default.
+
+    When all weights are equal, as for equal amplitudes, only the
+    energies are sorted; otherwise an index sort carries the weights
+    along.  Both give the same bits.
     """
     if not epsilon >= 0.0:  # also rejects NaN, which would merge everything
         raise ValidationError("merge epsilon must be nonnegative")
-    # argsort's default kind sets the tie order, and so each group's
-    # summation order; another kind would change merged bits.
-    order = np.argsort(spectrum.energies)
-    e = spectrum.energies[order]
-    w = spectrum.weights[order]
-    del order
+    w = spectrum.weights
+    if w.min() == w.max():
+        # Weights that sum to 1 and compare equal have equal bits, so any
+        # permutation of w is w.  Equal energies have equal bits too, save
+        # +-0.0, and the group sums below give +0.0 for either zero.
+        e = np.sort(spectrum.energies)
+    else:
+        # argsort's default kind sets the tie order, and so each group's
+        # summation order; another kind would change merged bits.
+        order = np.argsort(spectrum.energies)
+        e = spectrum.energies[order]
+        w = w[order]
+        del order
     starts = np.empty(e.size, dtype=bool)
     starts[0] = True
     np.greater(np.diff(e), epsilon, out=starts[1:])
@@ -173,11 +184,15 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     # change -0.0 (to 0.0); adding 0.0 in place gives the same bits.
     levels += 0.0
     level_w += 0.0
-    # Only groups with two or more members need summing; from here on
-    # e and w hold just their entries.
-    joins = np.flatnonzero(~starts)
-    idx = np.union1d(joins - 1, joins)
+    # Only groups with two or more members need summing: entry i is in
+    # one unless both it and entry i + 1 start groups.  From here on e
+    # and w hold just those entries.
+    member = starts.copy()
+    member[:-1] &= starts[1:]
+    np.logical_not(member, out=member)
+    idx = np.flatnonzero(member)
     e, w, head = e[idx], w[idx], starts[idx]
+    joins = idx[~head]
     group = np.cumsum(head) - 1
     w_sum = np.bincount(group, weights=w)
     # Averaging offsets from each group's lowest energy keeps exactly

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from spinbath.cli import main
 
 
@@ -95,6 +97,41 @@ def test_check_average_subcommand(tmp_path):
 def test_nan_merge_epsilon_exit_code(tmp_path, capsys):
     out = tmp_path / "nan"
     code = main(["spectrum", "--n", "6", "--merge", "--merge-epsilon", "nan", "--out-dir", str(out)])
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--n", "4", "--merge-epsilon", "nan"],
+        ["spectrum", "--n", "3", "--merge", "--merge-epsilon", "inf"],
+        ["spectrum", "--n", "3", "--merge", "--merge-epsilon=-1e-9"],
+        ["spectrum", "--n", "3", "--stop", "nan"],
+        ["ldos", "--n", "3", "--start=-inf"],
+        ["check-average", "--n", "3", "--horizon", "inf"],
+        ["check-average", "--n", "3", "--horizon", "0"],
+    ],
+    ids=[
+        "unused-epsilon-nan", "epsilon-inf", "epsilon-negative", "unused-stop-nan",
+        "unused-start-inf", "horizon-inf", "horizon-zero",
+    ],
+)
+def test_bad_config_float_exit_code(tmp_path, capsys, args):
+    # manifest.json is strict JSON: NaN and Infinity must never reach it.
+    out = tmp_path / "bad"
+    code = main([*args, "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_unused_nan_horizon_in_config_file_exit_code(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[average]\nhorizon = nan\n", encoding="utf-8")
+    out = tmp_path / "bad"
+    code = main(["spectrum", "--n", "3", "--config", str(config), "--out-dir", str(out)])
     assert code == 2
     assert "error[config]" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()

@@ -163,12 +163,15 @@ class TestTrace:
 
     def test_bitwise_identical_to_pointwise(self):
         rng = np.random.default_rng(8)
-        # The second case spans several blocks of times.
+        # The second case spans several blocks of times.  Its short time
+        # range keeps |r| above the underflow to 0.0, which would compare
+        # equal whatever the kernel did.
         assert 16 * 10_000 * 101 > 3 * _BLOCK_BYTES
-        for n, steps in ((6, 41), (10_000, 101)):
+        for n, start, stop, steps in ((6, -2.0, 3.0, 41), (10_000, -0.15, 0.2, 101)):
             c, a = random_model(rng, n)
-            grid = sb.TimeGrid(-2.0, 3.0, steps)
+            grid = sb.TimeGrid(start, stop, steps)
             trace = sb.decoherence_trace(c, a, grid)
+            assert np.count_nonzero(trace.values) >= 0.89 * steps
             for t, v in zip(grid.samples, trace.values):
                 assert v == sb.decoherence_factor(c, a, t)
 
@@ -206,8 +209,8 @@ class TestTrace:
 
     def test_metadata(self):
         c, a = random_model(np.random.default_rng(1), 2)
-        trace = sb.decoherence_trace(c, a, sb.TimeGrid(0.0, 1.0, 3), label="demo", seed=9)
-        assert trace.n_spins == 2 and trace.label == "demo" and trace.seed == 9
+        trace = sb.decoherence_trace(c, a, sb.TimeGrid(0.0, 1.0, 3))
+        assert trace.n_spins == 2
 
 
 class TestBranchEvolution:

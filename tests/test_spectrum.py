@@ -47,6 +47,13 @@ def merge_cases():
         # Signed zeros.
         ([-0.0, 1.0, -0.0, 2.0], [0.25, 0.25, 0.25, 0.25]),
         ([0.0, 1.0, 2.0, 2.0], [0.5, -0.0, 0.5, -0.0]),
+        # Equal weights, which sort energies alone: exact ties, both
+        # orders of 0.0 and -0.0, and groups with zero and 1e-10 gaps.
+        ([2.0, -1.0, 2.0, 0.5, -1.0, 2.0, 0.5, 3.0], [0.125] * 8),
+        ([0.0, -0.0, 1.0, 0.0, -0.0], [0.2] * 5),
+        ([-0.0, 0.0, 1.0, -0.0, 0.0], [0.2] * 5),
+        ([0.0, -0.0, 1e-10, -1e-10, -0.0, 0.0, 5.0, 5.0], [0.125] * 8),
+        ([1.0, 1.0 + 1e-10, 1.0, 1.0 - 1e-10, 3.0, 3.0 + 2e-10, 3.0 + 1e-10, -2.0], [0.125] * 8),
     ]
     rng = np.random.default_rng(41)
     for _ in range(60):
@@ -213,6 +220,28 @@ class TestMergeDegenerate:
             want_e, want_w = whole_array_merge(spec.energies, spec.weights, epsilon)
             assert merged.energies.view(np.int64).tolist() == want_e.view(np.int64).tolist()
             assert merged.weights.view(np.int64).tolist() == want_w.view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "n, couplings, amplitudes, epsilon",
+        [
+            (16, "fixed(1.0)", "equal", 1e-9),
+            (14, "gaussian(0, 1)", "equal", 1e-3),
+            (14, "fixed(1.0)", "fixed(0.3)", 1e-9),
+        ],
+        ids=["equal-weights-binomial", "equal-weights-wide-epsilon", "unequal-weights-ties"],
+    )
+    def test_enumerated_spectrum_bit_identical_to_whole_array_merge(
+        self, n, couplings, amplitudes, epsilon
+    ):
+        spec = sb.enumerate_walks(
+            sb.sample_couplings(sb.CouplingDistribution.parse(couplings), n, 5),
+            sb.sample_amplitudes(sb.AmplitudeRule.parse(amplitudes), n, 5),
+        )
+        merged = sb.merge_degenerate(spec, epsilon)
+        assert len(merged) < len(spec) // 2
+        want_e, want_w = whole_array_merge(spec.energies, spec.weights, epsilon)
+        assert merged.energies.view(np.int64).tolist() == want_e.view(np.int64).tolist()
+        assert merged.weights.view(np.int64).tolist() == want_w.view(np.int64).tolist()
 
     def test_negative_epsilon_rejected(self):
         spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)

@@ -89,6 +89,8 @@ class RunConfig:
             raise ConfigError("merge_epsilon must be >= 0")
         if self.horizon is not None and self.horizon <= 0.0:
             raise ConfigError("horizon must be > 0")
+        if self.bins is not None and int(self.bins) < 1:
+            raise ConfigError("bins must be >= 1")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "realizations", int(self.realizations))
         object.__setattr__(self, "steps", int(self.steps))

@@ -31,18 +31,13 @@ from .ensembles import (
 from .errors import ValidationError
 from .limits import check_time_average, gaussian_validity_window, summarize
 from .model import DecoherenceTrace, decoherence_trace
-from .spectrum import default_merge_epsilon, enumerate_walks, ldos, merge_degenerate
+from .spectrum import _CHUNK_ROWS, default_merge_epsilon, enumerate_walks, ldos, merge_degenerate
 
 #: Stream reserved for figure coupling histograms; realization streams are
 #: 2i and 2i+1, so a huge constant cannot collide.
 _HIST_STREAM = 1 << 62
 
 _HIST_DRAWS = 10_000
-
-
-#: Rows per chunk of a table write.  Only one chunk of each column is a
-#: Python list at a time, so writing a table takes bounded memory.
-_CHUNK_ROWS = 1 << 16
 
 
 def _write_hashed(path: Path, blocks: Iterable[str]) -> str:

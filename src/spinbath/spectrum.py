@@ -22,6 +22,11 @@ from .model import CouplingSet, EnvironmentAmplitudes, _checked_time, _readonly,
 #: Default ceiling on enumerable environment sizes (2^24 = 16.7M walks).
 ENUMERATION_CAP = 24
 
+#: Entries per chunk of a pass over a whole walk array or table: the gap
+#: scans here and the runner's table writes.  Only one chunk's
+#: temporaries exist at a time.
+_CHUNK_ROWS = 1 << 16
+
 _WEIGHT_TOL = 1e-10
 
 
@@ -68,7 +73,7 @@ class EnergySpectrum:
         total = float(np.sum(w))
         if not abs(total - 1.0) <= _WEIGHT_TOL:
             raise ValidationError(f"spectrum weights sum to {total!r}, not 1")
-        if self.merged and np.any(np.diff(e) <= 0.0):
+        if self.merged and not _gaps_above(e, 0.0, np.empty(e.size - 1, dtype=bool)).all():
             raise ValidationError("merged spectrum must have strictly increasing energies")
         object.__setattr__(self, "n_spins", int(n))
         object.__setattr__(self, "energies", _readonly(e))
@@ -79,8 +84,12 @@ class EnergySpectrum:
 
     def moments(self) -> tuple[float, float]:
         """Weighted mean and variance of the terminal energies."""
-        mean = float(self.weights @ self.energies)
-        var = float(self.weights @ np.square(self.energies - mean))
+        # A 0-stride weights view (equal amplitudes) would leave BLAS for
+        # numpy's own dot, which sums in another order; a contiguous copy
+        # keeps the bits.
+        w = np.ascontiguousarray(self.weights)
+        mean = float(w @ self.energies)
+        var = float(w @ np.square(self.energies - mean))
         return mean, var
 
 
@@ -123,6 +132,11 @@ def enumerate_walks(
     k contributes -g_k with weight |beta_k|^2, clear means +g_k with
     weight |alpha_k|^2.  The ordering is part of the contract so that
     outputs are reproducible.
+
+    When |alpha_k|^2 == |beta_k|^2 for every k, as for equal amplitudes,
+    every walk's weight is the same product, taken in the same k order;
+    it is computed once and the weights are a read-only 0-stride view of
+    it.
     """
     _require_matching_sizes(couplings.n, amps.n, "couplings vs amplitudes")
     n = couplings.n
@@ -132,18 +146,24 @@ def enumerate_walks(
             "(use the product formula or sampling above the cap)"
         )
     size = 1 << n
-    energies = np.zeros(size)
-    weights = np.ones(size)
     g = couplings.couplings
     up_w, down_w = amps.alpha_sq, amps.beta_sq
+    uniform = np.array_equal(up_w, down_w)
+    energies = np.zeros(size)
+    # A uniform weight lives in a 1-entry array, which every block slice
+    # below selects whole, so it takes the same multiplications in order.
+    weights = np.ones(1 if uniform else size)
     for k in range(n):
         half = 1 << k
         block = slice(0, half)
         mirror = slice(half, 2 * half)
         np.subtract(energies[block], g[k], out=energies[mirror])
         energies[block] += g[k]
-        np.multiply(weights[block], down_w[k], out=weights[mirror])
+        if not uniform:
+            np.multiply(weights[block], down_w[k], out=weights[mirror])
         weights[block] *= up_w[k]
+    if uniform:
+        weights = np.broadcast_to(weights, (size,))
     return EnergySpectrum._adopt(energies, weights, n, merged=False)
 
 
@@ -177,21 +197,23 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
         del order
     starts = np.empty(e.size, dtype=bool)
     starts[0] = True
-    np.greater(np.diff(e), epsilon, out=starts[1:])
-    levels = e[starts]
-    level_w = w[starts]
+    _gaps_above(e, epsilon, out=starts[1:])
     # A singleton group's sums are base + 0.0 and 0.0 + w, which only
     # change -0.0 (to 0.0); adding 0.0 in place gives the same bits.
+    levels = e[starts]
     levels += 0.0
-    level_w += 0.0
     # Only groups with two or more members need summing: entry i is in
     # one unless both it and entry i + 1 start groups.  From here on e
-    # and w hold just those entries.
+    # and w hold just those entries.  The sorted energies go before the
+    # level weights are gathered, the sorted weights (if any) right after.
     member = starts.copy()
     member[:-1] &= starts[1:]
     np.logical_not(member, out=member)
     idx = np.flatnonzero(member)
-    e, w, head = e[idx], w[idx], starts[idx]
+    e, head = e[idx], starts[idx]
+    level_w = w[starts]
+    level_w += 0.0
+    w = w[idx]
     joins = idx[~head]
     group = np.cumsum(head) - 1
     w_sum = np.bincount(group, weights=w)
@@ -211,6 +233,20 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     levels[rows] = base + mean_delta
     level_w[rows] = w_sum
     return EnergySpectrum._adopt(levels, level_w, spectrum.n_spins, merged=True)
+
+
+def _gaps_above(e: np.ndarray, threshold: float, out: np.ndarray) -> np.ndarray:
+    """Set out[i] = e[i + 1] - e[i] > threshold and return out.
+
+    The gaps are taken from windows of _CHUNK_ROWS + 1 entries that
+    overlap by one, so one chunk of gaps is held, never a whole-array
+    difference.
+    """
+    for lo in range(0, e.size - 1, _CHUNK_ROWS):
+        np.greater(
+            np.diff(e[lo : lo + _CHUNK_ROWS + 1]), threshold, out=out[lo : lo + _CHUNK_ROWS]
+        )
+    return out
 
 
 def default_merge_epsilon(couplings: CouplingSet) -> float:

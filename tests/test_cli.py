@@ -137,6 +137,30 @@ def test_unused_nan_horizon_in_config_file_exit_code(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["ldos", "--n", "4", "--merge", "--bins", "0"], None),
+        (["spectrum", "--n", "4", "--bins", "0"], None),
+        (["figure", "--which", "fig1", "--bins=-3"], None),
+        (["spectrum", "--n", "4"], "[spectrum]\nbins = 0\n"),
+    ],
+    ids=["ldos-merge", "unused-spectrum", "unused-figure", "unused-config-file"],
+)
+def test_bins_below_one_exit_code(tmp_path, capsys, args, config):
+    # A config error whatever the experiment, raised before the run
+    # enumerates a walk or makes its out dir.
+    if config is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(config, encoding="utf-8")
+        args = [*args, "--config", str(path)]
+    out = tmp_path / "bad"
+    code = main([*args, "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    assert "bins must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_single_sample_average_check_exit_code(tmp_path, capsys):
     out = tmp_path / "one"
     code = main(["check-average", "--n", "4", "--samples", "1", "--out-dir", str(out)])

@@ -112,6 +112,22 @@ class TestEnumerateWalks:
         spec = sb.enumerate_walks(c, a)
         assert float(spec.weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "rule, shared", [("equal", True), ("fixed(0.5)", True), ("fixed(0.3)", False)]
+    )
+    def test_equal_branch_weights_share_one_value(self, rule, shared):
+        # With |alpha_k|^2 == |beta_k|^2 every walk has the same weight,
+        # held once behind a 0-stride view; its bits match the oracle's
+        # product, taken in the same spin order.
+        n = 10
+        c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 4)
+        a = sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), n, 4)
+        w = sb.enumerate_walks(c, a).weights
+        assert (w.strides == (0,)) is shared
+        assert not w.flags.writeable
+        want = np.array([weight for _, weight in brute_force_spectrum(c, a)])
+        assert sorted(w.view(np.int64).tolist()) == sorted(want.view(np.int64).tolist())
+
 
 class TestEnergySpectrum:
     @pytest.mark.parametrize(
@@ -178,6 +194,21 @@ class TestEnergySpectrum:
         assert len(merged) > 2**19
         assert peak < 48 * 2**20
 
+    @pytest.mark.parametrize("rule, walk_arrays", [("equal", 3.0), ("random", 3.75)])
+    def test_merge_peak_in_walk_arrays(self, rule, walk_arrays):
+        # N = 18, one walk array is 2 MiB, and nearly every level is a
+        # singleton.  The two outputs take 2 arrays.  Equal weights add
+        # the sorted energies, freed before the level weights are
+        # gathered; random weights add the sorted weights too.  Gap scans
+        # hold one 2^16-gap window (1/4 array), masks 1/8 array each.
+        n = 18
+        c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 5)
+        a = sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), n, 5)
+        spec = sb.enumerate_walks(c, a)
+        merged, peak = traced_peak(sb.merge_degenerate, spec, sb.default_merge_epsilon(c))
+        assert len(merged) > 2 ** (n - 1)
+        assert peak < walk_arrays * 8 * 2**n
+
 
 class TestMergeDegenerate:
     def test_distinct_energies_unchanged(self):
@@ -242,6 +273,33 @@ class TestMergeDegenerate:
         want_e, want_w = whole_array_merge(spec.energies, spec.weights, epsilon)
         assert merged.energies.view(np.int64).tolist() == want_e.view(np.int64).tolist()
         assert merged.weights.view(np.int64).tolist() == want_w.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["equal-weights", "unequal-weights"])
+    def test_gaps_across_chunk_boundaries(self, uniform):
+        # Gaps of 0.25 merge at epsilon 0.5, the one at index
+        # 2^16 - 1 | 2^16 among them; a gap of 1 at 2^17 - 1 | 2^17 splits
+        # the walks into two levels.  Both sit where gap windows meet.
+        size = 3 << 16
+        e = 0.25 * np.arange(size)
+        e[1 << 17 :] += 0.75
+        rng = np.random.default_rng(12)
+        w = np.full(size, 1.0 / size) if uniform else rng.random(size)
+        spec = sb.EnergySpectrum(energies=rng.permutation(e), weights=w / w.sum(), n_spins=18)
+        merged = sb.merge_degenerate(spec, 0.5)
+        want_e, want_w = whole_array_merge(spec.energies, spec.weights, 0.5)
+        assert len(merged) == 2
+        assert merged.energies.view(np.int64).tolist() == want_e.view(np.int64).tolist()
+        assert merged.weights.view(np.int64).tolist() == want_w.view(np.int64).tolist()
+
+    def test_merged_order_checked_across_chunk_boundary(self):
+        # Only the pair 2^16 - 1 | 2^16, where gap windows meet, is out of order.
+        size = 1 << 17
+        e = np.arange(size, dtype=float)
+        w = np.full(size, 1.0 / size)
+        assert len(sb.EnergySpectrum(energies=e, weights=w, n_spins=17, merged=True)) == size
+        e[1 << 16] = e[(1 << 16) - 1]
+        with pytest.raises(sb.ValidationError, match="strictly increasing"):
+            sb.EnergySpectrum(energies=e, weights=w, n_spins=17, merged=True)
 
     def test_negative_epsilon_rejected(self):
         spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)
@@ -360,6 +418,16 @@ class TestCharacteristicFunction:
 
 
 class TestMoments:
+    @pytest.mark.parametrize("n", [5, 12, 18])
+    def test_shared_weight_moments_bit_identical(self, n):
+        # The public constructor copies weights into a contiguous array.
+        c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 3)
+        spec = sb.enumerate_walks(c, sb.EnvironmentAmplitudes.equal_superposition(n))
+        dense = sb.EnergySpectrum(energies=spec.energies, weights=spec.weights, n_spins=n)
+        assert spec.weights.strides == (0,) and dense.weights.strides == (8,)
+        got = np.array(spec.moments()).view(np.int64).tolist()
+        assert got == np.array(dense.moments()).view(np.int64).tolist()
+
     @settings(max_examples=40, deadline=None)
     @given(model=models(max_n=8))
     def test_first_two_moments_match_step_sums(self, model):

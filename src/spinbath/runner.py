@@ -10,11 +10,12 @@ reproduce byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +32,14 @@ from .ensembles import (
 from .errors import ValidationError
 from .limits import check_time_average, gaussian_validity_window, summarize
 from .model import DecoherenceTrace, decoherence_trace
-from .spectrum import _CHUNK_ROWS, default_merge_epsilon, enumerate_walks, ldos, merge_degenerate
+from .spectrum import (
+    _CHUNK_ROWS,
+    _checked_bins,
+    default_merge_epsilon,
+    enumerate_walks,
+    ldos,
+    merge_degenerate,
+)
 
 #: Stream reserved for figure coupling histograms; realization streams are
 #: 2i and 2i+1, so a huge constant cannot collide.
@@ -55,19 +63,40 @@ def _write_json(path: Path, payload: dict[str, Any]) -> str:
     return _write_hashed(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
-def _cells(col: np.ndarray, rows: int) -> Iterator[Iterator[str]]:
-    """The ``repr`` of each value of a column, one chunk of rows at a time.
+def _json_repr(value: float) -> str:
+    # repr spells non-finite floats nan, inf and -inf, which no finite
+    # cell contains; json spells them NaN, Infinity and -Infinity.
+    return repr(value).replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _cells(
+    col: np.ndarray, rows: int, nonfinite_repr: Callable[[Any], str]
+) -> Iterator[Iterable[str]]:
+    """The text of each value of a column, one chunk of rows at a time.
 
     ``tolist`` yields Python ints and floats, whose ``repr`` is the
-    shortest round-trip form, in CSV cells and JSON numbers alike.
+    shortest round-trip form, in CSV cells and JSON numbers alike.  A
+    chunk that holds a NaN or an infinity is spelt by ``nonfinite_repr``
+    instead.  A chunk whose rows all have the same bits, such as a
+    repeated walk weight, is formatted once; comparing bits, not values,
+    keeps -0.0 and 0.0 apart.  Columns are float64 or int64, whose bits
+    view as int64.
     """
     for start in range(0, rows, _CHUNK_ROWS):
-        yield map(repr, col[start : start + _CHUNK_ROWS].tolist())
+        chunk = col[start : start + _CHUNK_ROWS]
+        bits = chunk.view(np.int64)
+        if (bits == bits[0]).all():
+            value = chunk[0].item()
+            spell = repr if math.isfinite(value) else nonfinite_repr
+            yield itertools.repeat(spell(value), chunk.size)
+        else:
+            spell = repr if np.isfinite(chunk).all() else nonfinite_repr
+            yield map(spell, chunk.tolist())
 
 
 def _csv_blocks(columns: dict[str, np.ndarray], rows: int) -> Iterator[str]:
     yield ",".join(columns) + "\n"
-    for chunk in zip(*(_cells(col, rows) for col in columns.values())):
+    for chunk in zip(*(_cells(col, rows, repr) for col in columns.values())):
         yield "\n".join(map(",".join, zip(*chunk)))
         yield "\n"
 
@@ -79,11 +108,9 @@ def _json_blocks(columns: dict[str, np.ndarray], rows: int) -> Iterator[str]:
         yield f"{opening}\n  {json.dumps(header)}: ["
         opening = ","
         separator = "\n    "
-        for chunk in _cells(col, rows):
-            # repr spells non-finite floats nan, inf and -inf, which no finite
-            # cell contains; json spells them NaN, Infinity and -Infinity.
+        for chunk in _cells(col, rows, _json_repr):
             yield separator
-            yield ",\n    ".join(chunk).replace("nan", "NaN").replace("inf", "Infinity")
+            yield ",\n    ".join(chunk)
             separator = ",\n    "
         yield "\n  ]" if rows else "]"
     yield "\n}\n"
@@ -377,6 +404,8 @@ def run(cfg: RunConfig) -> int:
     Returns 0 on success; validation, capacity and I/O problems raise and
     are mapped to exit codes by the CLI.
     """
+    if cfg.bins is not None:
+        _checked_bins(cfg.bins)  # before any walk is enumerated
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     art = _Artifacts(out_dir, cfg.format, cfg.quiet)

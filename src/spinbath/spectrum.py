@@ -29,6 +29,10 @@ _CHUNK_ROWS = 1 << 16
 
 _WEIGHT_TOL = 1e-10
 
+#: Peak bytes per bin of ``ldos``: five float64 arrays and one bool mask
+#: (tracemalloc).
+_BYTES_PER_BIN = 41
+
 
 @dataclass(frozen=True, eq=False)
 class EnergySpectrum:
@@ -66,9 +70,10 @@ class EnergySpectrum:
             raise ValidationError(f"merged must be a bool, got {self.merged!r}")
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
             raise ValidationError("spectrum needs matching non-empty 1-d arrays")
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(w))):
+        held = _held(w)
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(held))):
             raise ValidationError("spectrum energies and weights must be finite")
-        if np.any(w < 0.0):
+        if np.any(held < 0.0):
             raise ValidationError("spectrum weights must be nonnegative")
         total = float(np.sum(w))
         if not abs(total - 1.0) <= _WEIGHT_TOL:
@@ -183,7 +188,8 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     if not epsilon >= 0.0:  # also rejects NaN, which would merge everything
         raise ValidationError("merge epsilon must be nonnegative")
     w = spectrum.weights
-    if w.min() == w.max():
+    held = _held(w)
+    if held.min() == held.max():
         # Weights that sum to 1 and compare equal have equal bits, so any
         # permutation of w is w.  Equal energies have equal bits too, save
         # +-0.0, and the group sums below give +0.0 for either zero.
@@ -235,6 +241,24 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     return EnergySpectrum._adopt(levels, level_w, spectrum.n_spins, merged=True)
 
 
+def _held(w: np.ndarray) -> np.ndarray:
+    """The entries an array stores: one for a 0-stride (broadcast) view."""
+    return w[:1] if w.strides == (0,) else w
+
+
+def _checked_bins(bins: int) -> int:
+    """bins as an int; CapacityError above the longest table the walk cap allows."""
+    bins = int(bins)
+    if bins < 1:
+        raise ValidationError("histogram needs at least one bin")
+    if bins > 1 << ENUMERATION_CAP:
+        raise CapacityError(
+            f"a histogram of {bins} bins needs about {_BYTES_PER_BIN * bins} bytes; "
+            f"cap is 2^{ENUMERATION_CAP} = {1 << ENUMERATION_CAP} bins"
+        )
+    return bins
+
+
 def _gaps_above(e: np.ndarray, threshold: float, out: np.ndarray) -> np.ndarray:
     """Set out[i] = e[i + 1] - e[i] > threshold and return out.
 
@@ -259,13 +283,11 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
 
     Bins span [min E_W, max E_W]; the default count is
     ceil(sqrt(#entries)).  A single-energy spectrum gets a unit-width bin
-    around it.
+    around it.  More than 2^ENUMERATION_CAP bins raise CapacityError.
     """
     if bins is None:
         bins = math.ceil(math.sqrt(len(spectrum)))
-    bins = int(bins)
-    if bins < 1:
-        raise ValidationError("histogram needs at least one bin")
+    bins = _checked_bins(bins)
     e = spectrum.energies
     masses, edges = np.histogram(
         e, bins=bins, range=(float(e.min()), float(e.max())), weights=spectrum.weights

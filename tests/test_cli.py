@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from spinbath import runner
 from spinbath.cli import main
 
 
@@ -158,6 +159,24 @@ def test_bins_below_one_exit_code(tmp_path, capsys, args, config):
     code = main([*args, "--out-dir", str(out), "--quiet"])
     assert code == 2
     assert "bins must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args", [["ldos", "--n", "4"], ["figure", "--which", "fig2"]], ids=["ldos", "figure"]
+)
+def test_bins_above_cap_exit_code(tmp_path, capsys, monkeypatch, args):
+    # A capacity error raised before the run enumerates a walk or makes its
+    # out dir, and before np.histogram would allocate 2^24 bins.
+    def no_walks(*_args, **_kwargs):
+        raise AssertionError("a walk was enumerated")
+
+    monkeypatch.setattr(runner, "enumerate_walks", no_walks)
+    out = tmp_path / "big"
+    code = main([*args, "--bins", str(2**24 + 1), "--out-dir", str(out), "--quiet"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error[capacity]" in err and f"{41 * (2**24 + 1)} bytes" in err
     assert not out.exists()
 
 

@@ -65,21 +65,37 @@ def _writer_cases():
     rng = np.random.default_rng(20031207)
     floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
     floats[[0, 1, 2, runner._CHUNK_ROWS, rows - 1]] = [np.nan, np.inf, -np.inf, -0.0, np.nan]
+    chunk = runner._CHUNK_ROWS
+    sizes = [chunk, chunk, chunk, 5]
+    signed_zeros = np.zeros(chunk)
+    signed_zeros[chunk // 3] = -0.0
+    last_differs = np.full(chunk, 2.0**-17)
+    last_differs[-1] = 0.5
     return {
         "chunks": {
             "label": np.arange(rows, dtype=np.int64) - rows // 2,
             "value": floats,
             "strided": (floats[::-1] + 1j).real,
         },
+        "repeats": {
+            "zeros": np.repeat([0.0, -0.0, np.nan, np.inf], sizes),
+            "mixed": np.concatenate(
+                [np.full(chunk, -np.inf), signed_zeros, last_differs, np.full(5, 1.5)]
+            ),
+            "label": np.repeat(np.array([-1, 0, 2**62, 7], dtype=np.int64), sizes),
+            "weight": np.broadcast_to(np.array([2.0**-17]), (rows,)),
+        },
         "empty": {"t": np.array([], dtype=np.float64), "n": np.array([], dtype=np.int64)},
     }
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", ["chunks", "empty"])
+@pytest.mark.parametrize("case", ["chunks", "repeats", "empty"])
 def test_streaming_writer_matches_whole_list_writers(tmp_path, case, fmt):
-    # The golden cases all fit in one chunk; this table spans four, with
-    # non-finite floats and -0.0 on chunk edges.
+    # The golden cases all fit in one chunk; these tables span four, with
+    # non-finite floats and -0.0 on chunk edges, and one-value chunks of
+    # signed zeros, non-finite floats, ints and a 0-stride column, beside
+    # chunks that are one value save for one row.
     columns = _writer_cases()[case]
     path = tmp_path / f"table.{fmt}"
     rows, digest = runner._write_table(path, columns)
@@ -105,6 +121,21 @@ def test_table_writer_memory_is_bounded_by_chunks(tmp_path, fmt, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_value_chunks_are_formatted_once(tmp_path, fmt, monkeypatch):
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(runner, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", 1 << 10)
+    column = np.broadcast_to(np.array([0.25]), (3 << 10,))
+    runner._write_table(tmp_path / f"table.{fmt}", {"weight": column})
+    assert 1 <= len(calls) <= 3
 
 
 def test_trace_run_writes_contracted_columns(tmp_path):

@@ -144,6 +144,15 @@ class TestEnergySpectrum:
         with pytest.raises(sb.ValidationError, match="finite"):
             sb.EnergySpectrum(energies=energies, weights=weights, n_spins=1)
 
+    @pytest.mark.parametrize("weight, match", [(np.nan, "finite"), (-0.25, "nonnegative")])
+    @pytest.mark.parametrize("shared", [True, False], ids=["broadcast", "contiguous"])
+    def test_bad_weight_rejected_before_sum(self, weight, match, shared):
+        # A 0-stride view is checked through its one stored value, an
+        # array through all of them; the bad value is last in the array.
+        w = np.broadcast_to(np.array([weight]), (4,)) if shared else np.array([0.5] * 3 + [weight])
+        with pytest.raises(sb.ValidationError, match=match):
+            sb.EnergySpectrum._adopt(np.arange(4.0), w, 2, merged=False)
+
     @pytest.mark.parametrize(
         "n_spins", [-3, 0, True, 2.0, "2", None], ids=["negative", "zero", "bool", "float", "str", "none"]
     )
@@ -352,6 +361,19 @@ class TestLdos:
         spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)
         with pytest.raises(sb.ValidationError):
             sb.ldos(spec, bins=0)
+
+    def test_bins_above_cap_raise_capacity_error(self):
+        spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)
+        bins = 2**sb.ENUMERATION_CAP + 1
+        with pytest.raises(sb.CapacityError, match=f"about {41 * bins} bytes"):
+            sb.ldos(spec, bins=bins)
+
+    def test_peak_memory_per_bin_within_estimate(self):
+        # The capacity message estimates 41 bytes per bin.
+        spec = sb.EnergySpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=1)
+        bins = 1 << 16
+        _, peak = traced_peak(sb.ldos, spec, bins)
+        assert peak < 41 * bins + (1 << 16)
 
     def test_histogram_mean_matches_summary_mean(self):
         # Bin centers weighted by mass reproduce the spectrum mean to

@@ -189,7 +189,8 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
         raise ValidationError("merge epsilon must be nonnegative")
     w = spectrum.weights
     held = _held(w)
-    if held.min() == held.max():
+    one_value = held.min() == held.max()
+    if one_value:
         # Weights that sum to 1 and compare equal have equal bits, so any
         # permutation of w is w.  Equal energies have equal bits too, save
         # +-0.0, and the group sums below give +0.0 for either zero.
@@ -204,31 +205,37 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     starts = np.empty(e.size, dtype=bool)
     starts[0] = True
     _gaps_above(e, epsilon, out=starts[1:])
-    # A singleton group's sums are base + 0.0 and 0.0 + w, which only
-    # change -0.0 (to 0.0); adding 0.0 in place gives the same bits.
-    levels = e[starts]
-    levels += 0.0
     # Only groups with two or more members need summing: entry i is in
-    # one unless both it and entry i + 1 start groups.  From here on e
-    # and w hold just those entries.  The sorted energies go before the
-    # level weights are gathered, the sorted weights (if any) right after.
+    # one unless both it and entry i + 1 start groups.  Their entries are
+    # gathered first; then the levels are compacted into the sorted
+    # buffers themselves.
     member = starts.copy()
     member[:-1] &= starts[1:]
     np.logical_not(member, out=member)
     idx = np.flatnonzero(member)
-    e, head = e[idx], starts[idx]
-    level_w = w[starts]
-    level_w += 0.0
-    w = w[idx]
+    del member
+    e_sub, head = e[idx], starts[idx]
+    w_sub = np.broadcast_to(held[:1], idx.shape) if one_value else w[idx]
+    # A singleton group's sums are base + 0.0 and 0.0 + w, which only
+    # change -0.0 (to 0.0); adding 0.0 in place gives the same bits.
+    levels = _compacted(e, starts)
+    del e
+    levels += 0.0
+    if one_value:
+        level_w = np.full(levels.size, held[0] + 0.0)
+    else:
+        level_w = _compacted(w, starts)
+        level_w += 0.0
+    del w
     joins = idx[~head]
     group = np.cumsum(head) - 1
-    w_sum = np.bincount(group, weights=w)
+    w_sum = np.bincount(group, weights=w_sub)
     # Averaging offsets from each group's lowest energy keeps exactly
     # degenerate groups at their exact energy (no double rounding).
-    base = e[head]
-    delta = e - base[group]
+    base = e_sub[head]
+    delta = e_sub - base[group]
     safe = np.where(w_sum > 0.0, w_sum, 1.0)
-    mean_delta = np.bincount(group, weights=w * delta) / safe
+    mean_delta = np.bincount(group, weights=w_sub * delta) / safe
     if np.any(w_sum == 0.0):
         counts = np.bincount(group)
         plain = np.bincount(group, weights=delta) / counts
@@ -239,6 +246,22 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     levels[rows] = base + mean_delta
     level_w[rows] = w_sum
     return EnergySpectrum._adopt(levels, level_w, spectrum.n_spins, merged=True)
+
+
+def _compacted(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """a[keep], moved to the front of the caller's fresh array a.
+
+    Each _CHUNK_ROWS chunk is gathered before it is written back, at or
+    before its own position, so no unread entry is overwritten.  When
+    fewer than half the entries are kept they are copied out, so that
+    the whole buffer is not held for a few levels.
+    """
+    k = 0
+    for lo in range(0, a.size, _CHUNK_ROWS):
+        kept = a[lo : lo + _CHUNK_ROWS][keep[lo : lo + _CHUNK_ROWS]]
+        a[k : k + kept.size] = kept
+        k += kept.size
+    return a[:k].copy() if 2 * k < a.size else a[:k]
 
 
 def _held(w: np.ndarray) -> np.ndarray:
@@ -283,16 +306,91 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
 
     Bins span [min E_W, max E_W]; the default count is
     ceil(sqrt(#entries)).  A single-energy spectrum gets a unit-width bin
-    around it.  More than 2^ENUMERATION_CAP bins raise CapacityError.
+    around it.  More than 2^ENUMERATION_CAP bins raise CapacityError; bins
+    too fine for the energy range to give distinct edges raise
+    ValidationError.  The masses are those of ``np.histogram``, bit for
+    bit.
     """
     if bins is None:
         bins = math.ceil(math.sqrt(len(spectrum)))
     bins = _checked_bins(bins)
     e = spectrum.energies
-    masses, edges = np.histogram(
-        e, bins=bins, range=(float(e.min()), float(e.max())), weights=spectrum.weights
-    )
+    if spectrum.merged:
+        lo, hi = float(e[0]), float(e[-1])
+    else:
+        lo, hi = float(e.min()), float(e.max())
+    first, last = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+    # np.histogram's own edges and its own "too many bins" test.
+    edges = np.linspace(first, last, bins + 1)
+    if not np.all(edges[:-1] < edges[1:]):
+        raise ValidationError(
+            f"{bins} bins cannot split the energy range [{lo!r}, {hi!r}] "
+            "into bins with distinct finite edges"
+        )
+    if spectrum.merged and _SEARCH_COST * bins * e.size.bit_length() <= e.size:
+        masses = _sorted_masses(e, spectrum.weights, edges, first, last)
+    else:
+        # Walk order, or bins too many to search: np.histogram computes
+        # each entry's bin.
+        masses, edges = np.histogram(e, bins=bins, range=(lo, hi), weights=spectrum.weights)
     return LdosHistogram(edges=edges, masses=masses, spectrum=spectrum)
+
+
+#: Entries per block of ``np.histogram``'s uniform-bin loop (its internal
+#: ``BLOCK``).  Each block's per-bin sums are added to the totals in
+#: block order, so the same blocks give the same bits.
+_HIST_BLOCK = 1 << 16
+
+#: Finding bin starts takes about bins * log2(entries) bin evaluations,
+#: each costing about 4 of np.histogram's per-entry ones (measured at
+#: 2^16 and 2^20 levels); beyond that np.histogram is faster.
+_SEARCH_COST = 4
+
+
+def _sorted_masses(
+    e: np.ndarray, w: np.ndarray, edges: np.ndarray, first: float, last: float
+) -> np.ndarray:
+    """np.histogram's masses of increasing energies e, found from where
+    each bin starts rather than from every entry's bin."""
+    # np.histogram's bin of x is its estimate raw(x), clipped to the last
+    # bin, then moved one step towards the bin whose edges bracket x:
+    # raw - clamp(raw - bracket, -1, 1) = clamp(bracket, raw - 1, raw + 1).
+    # Both raw (a chain of rounded monotone operations, then truncation)
+    # and bracket are nondecreasing in x, and a clamp is nondecreasing in
+    # all three arguments, so numpy's bin is nondecreasing along e too.
+    # The entries below bin b are then a prefix of e, whose length
+    # starts[b] a bisection finds, whatever the estimate's error.
+    bins = edges.size - 1
+    n = e.size
+    target = np.arange(bins + 1)
+    starts = np.zeros(bins + 1, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        probe = starts + step
+        below = probe <= n
+        x = e[np.minimum(probe, n) - 1]
+        # numpy's uniform-bin index, step by step as np.histogram takes it.
+        idx = ((x - first) / (last - first) * bins).astype(np.intp)
+        np.minimum(idx, bins - 1, out=idx)
+        idx -= x < edges[idx]
+        idx += (x >= edges[idx + 1]) & (idx != bins - 1)
+        below &= idx < target
+        starts += below * step
+        step >>= 1
+    # Bins that hold entries, and the entry each starts at.
+    filled = np.flatnonzero(np.diff(starts))
+    first_entry = starts[filled]
+    masses = np.zeros(bins)
+    for lo in range(0, n, _HIST_BLOCK):
+        hi = min(lo + _HIST_BLOCK, n)
+        r0 = np.searchsorted(first_entry, lo, side="right") - 1
+        r1 = np.searchsorted(first_entry, hi)
+        counts = np.diff(first_entry[r0 + 1 : r1], prepend=lo, append=hi)
+        block_bin = np.repeat(np.arange(r1 - r0), counts)
+        # The same sequential per-bin sums as numpy's bincount of this
+        # block; bins the block misses would only add +0.0.
+        masses[filled[r0:r1]] += np.bincount(block_bin, weights=w[lo:hi])
+    return masses
 
 
 def characteristic_function(spectrum: EnergySpectrum, t) -> complex:

@@ -180,6 +180,23 @@ def test_bins_above_cap_exit_code(tmp_path, capsys, monkeypatch, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ldos", "--n", "3", "--couplings", "fixed(1e-320)"],
+        ["ldos", "--n", "3", "--couplings", "fixed(1e-320)", "--merge"],
+        ["figure", "--which", "fig3", "--n", "3", "--couplings", "lorentzian(0, 1e-318)"],
+    ],
+    ids=["ldos", "ldos-merge", "figure"],
+)
+def test_bins_too_fine_for_energy_range_exit_code(tmp_path, capsys, args):
+    # Subnormal couplings span too few doubles for 10^5 distinct edges.
+    code = main([*args, "--bins", "100000", "--out-dir", str(tmp_path / "fine"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[config]: 100000 bins cannot split the energy range [" in err
+
+
 def test_single_sample_average_check_exit_code(tmp_path, capsys):
     out = tmp_path / "one"
     code = main(["check-average", "--n", "4", "--samples", "1", "--out-dir", str(out)])

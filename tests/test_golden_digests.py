@@ -37,6 +37,8 @@ CASES = {
     "trace": dict(experiment="trace", n=12, amplitudes=_RANDOM, stop=3.0, steps=41),
     "spectrum": dict(experiment="spectrum", n=10, merge=True),
     "ldos": dict(experiment="ldos", n=10, amplitudes=_RANDOM, bins=16),
+    # Two histogram blocks of 2^16 levels, with non-dyadic weights.
+    "ldos-merged": dict(experiment="ldos", n=17, amplitudes=_RANDOM, merge=True),
     "ensemble": dict(
         experiment="ensemble", n=8, distribution=_LORENTZ, realizations=5, stop=3.0, steps=21
     ),

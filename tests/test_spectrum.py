@@ -1,5 +1,6 @@
 """Tests for walk enumeration, merging, histograms and the characteristic function."""
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath as sb
+from spinbath import spectrum as spectrum_module
 from helpers import (
     brute_force_characteristic,
     brute_force_spectrum,
@@ -203,19 +205,35 @@ class TestEnergySpectrum:
         assert len(merged) > 2**19
         assert peak < 48 * 2**20
 
-    @pytest.mark.parametrize("rule, walk_arrays", [("equal", 3.0), ("random", 3.75)])
-    def test_merge_peak_in_walk_arrays(self, rule, walk_arrays):
-        # N = 18, one walk array is 2 MiB, and nearly every level is a
-        # singleton.  The two outputs take 2 arrays.  Equal weights add
-        # the sorted energies, freed before the level weights are
-        # gathered; random weights add the sorted weights too.  Gap scans
-        # hold one 2^16-gap window (1/4 array), masks 1/8 array each.
+    @pytest.mark.parametrize(
+        "couplings, rule, walk_arrays",
+        [
+            pytest.param("gaussian(0, 1)", "equal", 3.0, id="equal-3.0"),
+            pytest.param("gaussian(0, 1)", "random", 3.75, id="random-3.75"),
+            pytest.param("fixed(1.0)", "equal", 7.5, id="heavy-merge-equal-7.5"),
+            pytest.param("fixed(1.0)", "random", 7.5, id="heavy-merge-random-7.5"),
+        ],
+    )
+    def test_merge_peak_in_walk_arrays(self, couplings, rule, walk_arrays):
+        # N = 18, one walk array is 2 MiB.  With Gaussian couplings nearly
+        # every level is a singleton: the sorted energies (and sorted
+        # weights, if any) are compacted in place into the two outputs;
+        # equal weights add a level weight array, random weights the
+        # argsort permutation while gathering.  Gap scans hold one
+        # 2^16-gap window (1/4 array), masks 1/8 array each.  Equal
+        # couplings merge every walk into N + 1 levels: the group sums
+        # hold several walk arrays of indices and offsets, and the few
+        # levels are copied out of the sorted buffers, which are freed.
         n = 18
-        c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 5)
+        dist = sb.CouplingDistribution.parse(couplings)
+        c = sb.sample_couplings(dist, n, 5)
         a = sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), n, 5)
         spec = sb.enumerate_walks(c, a)
         merged, peak = traced_peak(sb.merge_degenerate, spec, sb.default_merge_epsilon(c))
-        assert len(merged) > 2 ** (n - 1)
+        if dist.kind == "fixed":
+            assert len(merged) == n + 1
+        else:
+            assert len(merged) > 2 ** (n - 1)
         assert peak < walk_arrays * 8 * 2**n
 
 
@@ -369,11 +387,27 @@ class TestLdos:
             sb.ldos(spec, bins=bins)
 
     def test_peak_memory_per_bin_within_estimate(self):
-        # The capacity message estimates 41 bytes per bin.
-        spec = sb.EnergySpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=1)
+        # The capacity message estimates 41 bytes per bin, merged or not.
+        # Bin starts are searched only for bins * log2(levels) well below
+        # the level count, so many bins always take np.histogram.
         bins = 1 << 16
-        _, peak = traced_peak(sb.ldos, spec, bins)
-        assert peak < 41 * bins + (1 << 16)
+        for merged in (False, True):
+            spec = sb.EnergySpectrum(
+                energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=1, merged=merged
+            )
+            _, peak = traced_peak(sb.ldos, spec, bins)
+            assert peak < 41 * bins + (1 << 16), merged
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_bins_too_fine_for_energy_range_rejected(self, merged):
+        # 10^5 bins over 2 subnormal steps cannot have distinct edges.
+        spec = sb.EnergySpectrum(
+            energies=[0.0, 1e-320], weights=[0.5, 0.5], n_spins=1, merged=merged
+        )
+        with pytest.raises(
+            sb.ValidationError, match=r"100000 bins cannot split the energy range \[0.0, 1e-320\]"
+        ):
+            sb.ldos(spec, bins=100_000)
 
     def test_histogram_mean_matches_summary_mean(self):
         # Bin centers weighted by mass reproduce the spectrum mean to
@@ -404,6 +438,110 @@ class TestLdos:
         outside = 1.0 - sum(gauss_mass)
         tv = 0.5 * (np.abs(hist.masses - np.array(gauss_mass)).sum() + outside)
         assert tv < 0.02
+
+
+@functools.lru_cache(maxsize=3)
+def merged_n18(rule: str) -> sb.EnergySpectrum:
+    """A merged spectrum of 2^18 levels: four np.histogram blocks."""
+    n = 18
+    c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 5)
+    a = sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), n, 5)
+    return sb.merge_degenerate(sb.enumerate_walks(c, a), sb.default_merge_epsilon(c))
+
+
+def assert_ldos_is_numpy_histogram(spec, bins, monkeypatch) -> None:
+    """ldos gives np.histogram's edges and masses bit for bit, or, where
+    numpy raises, raises ValidationError; for a merged spectrum, also
+    when it finds bin starts for any number of bins."""
+    e = spec.energies
+    count = math.ceil(math.sqrt(len(spec))) if bins is None else bins
+    try:
+        masses, edges = np.histogram(
+            e, count, range=(float(e.min()), float(e.max())), weights=spec.weights
+        )
+    except ValueError:
+        masses = edges = None
+    for search_cost in (spectrum_module._SEARCH_COST, 0):
+        monkeypatch.setattr(spectrum_module, "_SEARCH_COST", search_cost)
+        if masses is None:
+            with pytest.raises(sb.ValidationError, match="cannot split the energy range"):
+                sb.ldos(spec, bins)
+            continue
+        hist = sb.ldos(spec, bins)
+        assert hist.edges.tobytes() == edges.tobytes()
+        assert hist.masses.tobytes() == masses.tobytes()
+
+
+class TestMergedLdos:
+    """Merged spectra with few enough bins take their masses from bin
+    starts, not np.histogram."""
+
+    @pytest.mark.parametrize(
+        "bins", [1, 257, None, 2**18 + 5], ids=["1", "257", "default", "above-entries"]
+    )
+    @pytest.mark.parametrize("rule", ["random", "equal", "fixed(0.3)"])
+    def test_bit_identical_to_numpy_histogram(self, rule, bins, monkeypatch):
+        spec = merged_n18(rule)
+        assert spec.merged and len(spec) > 3 * 2**16
+        assert_ldos_is_numpy_histogram(spec, bins, monkeypatch)
+
+    def test_peak_memory_below_numpy(self):
+        # One block's bin ids and the per-bin arrays, against the
+        # temporaries np.histogram takes for each block's entries.
+        spec = merged_n18("random")
+        e = spec.energies
+        _, numpy_peak = traced_peak(
+            np.histogram, e, 512, (float(e[0]), float(e[-1])), False, spec.weights
+        )
+        _, peak = traced_peak(sb.ldos, spec, 512)
+        assert peak < numpy_peak
+
+    def test_few_bins_skip_np_histogram(self, monkeypatch):
+        def no_histogram(*_args, **_kwargs):
+            raise AssertionError("np.histogram was called")
+
+        monkeypatch.setattr(np, "histogram", no_histogram)
+        sb.ldos(merged_n18("random"))
+        sb.ldos(merged_n18("random"), bins=2000)
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 1000])
+    def test_one_level(self, bins, monkeypatch):
+        spec = sb.EnergySpectrum(energies=[2.5], weights=[1.0], n_spins=1, merged=True)
+        assert_ldos_is_numpy_histogram(spec, bins, monkeypatch)
+
+    @pytest.mark.parametrize("bins", [1, 7, 333, 998, 999, 1000, 1500, 5000])
+    def test_offset_by_1e16(self, bins, monkeypatch):
+        # Consecutive doubles near 1e16 are 2 apart, so numpy's first
+        # estimate and the edges round coarsely, and fine bins have no
+        # distinct edges, which numpy rejects.
+        rng = np.random.default_rng(3)
+        w = rng.random(1000)
+        spec = sb.EnergySpectrum(
+            energies=1e16 + 2.0 * np.arange(1000), weights=w / w.sum(), n_spins=10, merged=True
+        )
+        assert_ldos_is_numpy_histogram(spec, bins, monkeypatch)
+
+    def test_bin_across_block_boundary(self, monkeypatch):
+        # With 3 bins over 2^17 evenly spaced levels, bin 1 holds levels
+        # 43691..87380, across numpy's block boundary at 2^16.  numpy
+        # sums each block's part of the bin, then adds the two; the same
+        # weights summed in one pass give other bits, so this fails if
+        # numpy's BLOCK moves away from the block size ldos assumes.
+        n = 1 << 17
+        rng = np.random.default_rng(12)
+        w = rng.random(n)
+        spec = sb.EnergySpectrum(
+            energies=np.arange(n, dtype=float), weights=w / w.sum(), n_spins=17, merged=True
+        )
+        e, w = spec.energies, spec.weights
+        masses, edges = np.histogram(e, 3, range=(0.0, float(n - 1)), weights=w)
+        lo, hi = np.searchsorted(e, edges[1:3])
+        assert lo < 1 << 16 < hi
+        one_pass = np.cumsum(w[lo:hi])[-1]
+        blocks = np.cumsum(w[lo : 1 << 16])[-1] + np.cumsum(w[1 << 16 : hi])[-1]
+        assert one_pass != blocks
+        assert masses[1] == blocks
+        assert_ldos_is_numpy_histogram(spec, 3, monkeypatch)
 
 
 class TestCharacteristicFunction:

@@ -36,7 +36,6 @@ from .limits import (
     StatisticsSummary,
     TimeAverageCheck,
     check_time_average,
-    empirical_time_average_sq,
     gaussian_decoherence,
     gaussian_ldos,
     gaussian_validity_window,
@@ -49,16 +48,11 @@ from .model import (
     CouplingSet,
     DecoherenceTrace,
     EnvironmentAmplitudes,
-    ReducedDensityMatrix,
-    SystemState,
     TimeGrid,
     decoherence_factor,
     decoherence_trace,
-    environment_overlap,
-    evolve_environment_branch,
-    reduced_density_matrix,
 )
-from .runner import emit_figure_data, run
+from .runner import run
 from .spectrum import (
     ENUMERATION_CAP,
     EnergySpectrum,
@@ -89,9 +83,7 @@ __all__ = [
     "EnvironmentAmplitudes",
     "LdosHistogram",
     "LindebergReport",
-    "ReducedDensityMatrix",
     "StatisticsSummary",
-    "SystemState",
     "TimeAverageCheck",
     "TimeGrid",
     "ValidationError",
@@ -100,15 +92,11 @@ __all__ = [
     "characteristic_function",
     "check_time_average",
     "decoherence_factor",
-    "emit_figure_data",
     "decoherence_trace",
     "default_merge_epsilon",
     "echo_amplitude",
-    "empirical_time_average_sq",
     "ensemble_average_trace",
     "enumerate_walks",
-    "environment_overlap",
-    "evolve_environment_branch",
     "gaussian_decoherence",
     "gaussian_ldos",
     "gaussian_validity_window",
@@ -119,7 +107,6 @@ __all__ = [
     "long_time_average_sq",
     "merge_degenerate",
     "realization_model",
-    "reduced_density_matrix",
     "run",
     "sample_amplitudes",
     "sample_couplings",

@@ -53,10 +53,6 @@ class DiagonalBranchHamiltonian:
         g = couplings.couplings
         return cls(up=g, down=-g)
 
-    @classmethod
-    def zero(cls, n: int) -> "DiagonalBranchHamiltonian":
-        return cls(up=np.zeros(n), down=np.zeros(n))
-
     def __neg__(self) -> "DiagonalBranchHamiltonian":
         return DiagonalBranchHamiltonian(up=-self.up, down=-self.down)
 

@@ -168,10 +168,6 @@ def long_time_average_sq(amps: EnvironmentAmplitudes) -> float:
     return float(np.prod(0.5 * (1.0 + np.square(bias))))
 
 
-def _default_horizon(couplings: CouplingSet) -> float:
-    return 100.0 * (2.0 * math.pi / float(np.abs(couplings.couplings).min()))
-
-
 def _sq_magnitude_samples(
     couplings: CouplingSet,
     amps: EnvironmentAmplitudes,
@@ -179,8 +175,6 @@ def _sq_magnitude_samples(
     samples: int,
 ) -> tuple[float, np.ndarray]:
     """The resolved horizon and |r(t)|^2 at ``samples`` times in [0, horizon)."""
-    if samples < 1:
-        raise ValidationError("need at least one sample")
     magnitudes = np.abs(couplings.couplings)
     if not np.all(magnitudes > 0.0) or np.unique(magnitudes).size != couplings.n:
         raise ValidationError(
@@ -189,7 +183,8 @@ def _sq_magnitude_samples(
             "cos 2gt factor, which breaks the phase-mixing it relies on"
         )
     if horizon is None:
-        horizon = _default_horizon(couplings)
+        # 100 periods of the slowest coupling.
+        horizon = 100.0 * (2.0 * math.pi / float(magnitudes.min()))
     horizon = float(horizon)
     if not (horizon > 0.0 and np.isfinite(horizon)):
         raise ValidationError("horizon must be positive and finite")
@@ -200,24 +195,6 @@ def _sq_magnitude_samples(
     # differs from it in the last bit for some values.
     values = decoherence_trace(couplings, amps, times).values.tolist()
     return horizon, np.array([abs(r) ** 2 for r in values])
-
-
-def empirical_time_average_sq(
-    couplings: CouplingSet,
-    amps: EnvironmentAmplitudes,
-    horizon: float | None = None,
-    samples: int = 4096,
-) -> float:
-    """Numerical time average of |r(t)|^2 over [0, horizon).
-
-    Defaults to a horizon of 100 periods of the slowest coupling.  The
-    closed form 2^-N prod_k (1 + bias_k^2) it estimates assumes
-    incommensurate couplings, so the magnitudes |g_k| must be nonzero and
-    pairwise distinct, or ``ValidationError`` is raised: a zero coupling
-    never dephases, and a +-g pair has identical cos 2gt factors.
-    """
-    _, sq = _sq_magnitude_samples(couplings, amps, horizon, samples)
-    return float(np.mean(sq))
 
 
 @dataclass(frozen=True)
@@ -240,6 +217,12 @@ def check_time_average(
     blocks: int = 32,
 ) -> TimeAverageCheck:
     """Compare the analytic long-time average against the estimator.
+
+    The estimator is the mean of |r(t)|^2 at ``samples`` left-endpoint
+    times in [0, horizon); the horizon defaults to 100 periods of the
+    slowest coupling.  The closed form 2^-N prod_k (1 + bias_k^2) assumes
+    incommensurate couplings, so the magnitudes |g_k| must be nonzero and
+    pairwise distinct, or ``ValidationError`` is raised.
 
     The standard error comes from batch means (``blocks`` contiguous
     blocks), which stays honest when nearby time samples are correlated.

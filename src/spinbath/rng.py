@@ -3,12 +3,15 @@
 Everything random in this package is drawn from the Philox4x64
 counter-based bit generator.  A stream is addressed by a 128-bit key
 holding the user seed in the low 64 bits and a stream index in the high
-64 bits, so each (seed, stream) pair is an independent, platform-stable
-sequence.  Uniform doubles take the top 53 bits of each 64-bit word
-(values in [0, 1)); normal deviates come from the Box-Muller transform
-and Cauchy deviates from the inverse CDF.  Fixing the transforms here,
-on top of the frozen Philox bit stream, keeps outputs bit-identical
-across platforms and numpy releases.
+64 bits, so each (seed, stream) pair is an independent sequence.
+Uniform doubles take the top 53 bits of each 64-bit word (values in
+[0, 1)); normal deviates come from the Box-Muller transform and Cauchy
+deviates from the inverse CDF.  The Philox words and the uniforms are
+the same on every platform.  The normal and Cauchy deviates are not:
+``np.log`` and ``np.tan`` take numpy's CPU-dispatched (for example
+AVX-512) code paths, whose last bits differ from the baseline build, so
+``gaussian`` and ``lorentzian`` couplings and ``random`` amplitudes
+depend on the CPU numpy runs on.
 """
 
 from __future__ import annotations

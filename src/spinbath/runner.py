@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -29,7 +28,6 @@ from .ensembles import (
     realization_model,
     sample_couplings,
 )
-from .errors import ValidationError
 from .limits import check_time_average, gaussian_validity_window, summarize
 from .model import DecoherenceTrace, decoherence_trace
 from .spectrum import (
@@ -424,12 +422,3 @@ def run(cfg: RunConfig) -> int:
     if not cfg.quiet:
         print(f"wrote {out_dir / 'manifest.json'}")
     return 0
-
-
-def emit_figure_data(which: str, cfg: RunConfig) -> int:
-    """Produce the per-panel data files for one figure tag."""
-    if which not in _FIGURE_EMITTERS:
-        raise ValidationError(f"unknown figure {which!r}; pick from {sorted(_FIGURE_EMITTERS)}")
-    if cfg.experiment != "figure" or cfg.figure != which:
-        cfg = replace(cfg, experiment="figure", figure=which)
-    return run(cfg)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths:
 walk enumeration uses itertools over explicit sign tuples, branch
-overlaps go through fully expanded 2^N state vectors, and degeneracy
-merging sums every group of the whole array.
+overlaps go through evolved per-spin amplitude pairs (and, for small N,
+fully expanded 2^N state vectors), and degeneracy merging sums every
+group of the whole array.
 """
 
 import itertools
@@ -81,15 +82,30 @@ def brute_force_characteristic(couplings, amps, t: float) -> complex:
     return sum(w * np.exp(1j * e * t) for e, w in brute_force_spectrum(couplings, amps))
 
 
+def evolved_pairs(couplings, amps, t: float, branch: int) -> np.ndarray:
+    """(N, 2) per-spin amplitudes of one branch evolved to time t.
+
+    Branch 0 turns the up amplitude by exp(+i g_k t / 2) and the down
+    amplitude by the conjugate phase; branch 1 is branch 0 at -t.
+    """
+    sign = 1.0 if branch == 0 else -1.0
+    phase = np.exp(0.5j * sign * couplings.couplings * t)
+    return np.stack([amps.alpha * phase, amps.beta * np.conj(phase)], axis=1)
+
+
 def kron_branch_state(couplings, amps, t: float, branch: int) -> np.ndarray:
     """Fully expanded 2^N state vector of one evolved branch."""
-    sign = 1.0 if branch == 0 else -1.0
     state = np.array([1.0 + 0.0j])
-    for k in range(couplings.n):
-        phase = np.exp(0.5j * sign * couplings.couplings[k] * t)
-        spin = np.array([amps.alpha[k] * phase, amps.beta[k] * np.conj(phase)])
+    for spin in evolved_pairs(couplings, amps, t, branch):
         state = np.kron(state, spin)
     return state
+
+
+def branch_overlap(couplings, amps, t: float) -> complex:
+    """<E_1(t)|E_0(t)> as the product of the per-spin pair overlaps."""
+    bra = evolved_pairs(couplings, amps, t, branch=1)
+    ket = evolved_pairs(couplings, amps, t, branch=0)
+    return complex(np.prod(np.sum(np.conj(bra) * ket, axis=1)))
 
 
 @st.composite

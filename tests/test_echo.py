@@ -50,8 +50,9 @@ class TestEchoAmplitude:
         n = 7
         h = random_branch(rng, n)
         _, amps = random_model(rng, n)
+        still = sb.DiagonalBranchHamiltonian(np.zeros(n), np.zeros(n))
         for t in (0.4, 1.9):
-            echo = sb.echo_amplitude(sb.DiagonalBranchHamiltonian.zero(n), h, amps, t)
+            echo = sb.echo_amplitude(still, h, amps, t)
             # The echo runs the perturbed branch for t/2.
             assert abs(echo) ** 2 == pytest.approx(
                 sb.survival_probability(h, amps, t / 2.0), abs=1e-12

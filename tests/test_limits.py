@@ -225,22 +225,17 @@ class TestLongTimeAverage:
 
 
 class TestEmpiricalTimeAverage:
-    def test_single_sample_at_origin(self):
-        c = sb.CouplingSet([1.0])
-        a = exact_half_amplitudes(1)
-        assert sb.empirical_time_average_sq(c, a, horizon=1e-9, samples=1) == 1.0
-
     def test_cosine_squared_over_full_periods(self):
         # Left-endpoint sampling over whole periods averages cos^2 to 1/2.
         c = sb.CouplingSet([1.0])
         a = exact_half_amplitudes(1)
-        value = sb.empirical_time_average_sq(c, a, horizon=6.0 * np.pi, samples=4096)
-        assert value == pytest.approx(0.5, abs=1e-9)
+        check = sb.check_time_average(c, a, horizon=6.0 * np.pi, samples=4096)
+        assert check.empirical == pytest.approx(0.5, abs=1e-9)
 
     def test_repeated_couplings_rejected(self):
         c = sb.CouplingSet([1.0, 1.0])
         with pytest.raises(sb.ValidationError):
-            sb.empirical_time_average_sq(c, exact_half_amplitudes(2))
+            sb.check_time_average(c, exact_half_amplitudes(2))
 
     @pytest.mark.parametrize("couplings", [[0.0, 1.0], [0.5, -0.5]])
     def test_zero_and_opposite_couplings_rejected(self, couplings):
@@ -248,8 +243,6 @@ class TestEmpiricalTimeAverage:
         # factor: the closed form 2^-N prod(1 + bias^2) does not apply.
         c = sb.CouplingSet(couplings)
         a = exact_half_amplitudes(2)
-        with pytest.raises(sb.ValidationError):
-            sb.empirical_time_average_sq(c, a, horizon=200.0, samples=64)
         with pytest.raises(sb.ValidationError):
             sb.check_time_average(c, a, samples=64)
 
@@ -292,6 +285,6 @@ class TestEmpiricalTimeAverage:
         check = sb.check_time_average(c, a, horizon=200.0, samples=512, blocks=8)
         assert check.horizon == 200.0 and check.samples == 512
         assert check.stderr > 0.0
-        assert check.empirical == pytest.approx(
-            sb.empirical_time_average_sq(c, a, horizon=200.0, samples=512)
-        )
+        times = 200.0 * np.arange(512) / 512
+        expected = np.mean([abs(sb.decoherence_factor(c, a, t)) ** 2 for t in times])
+        assert check.empirical == pytest.approx(expected)

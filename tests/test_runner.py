@@ -11,7 +11,7 @@ import pytest
 import spinbath as sb
 from spinbath.config import RunConfig
 from spinbath import runner
-from spinbath.runner import emit_figure_data, run
+from spinbath.runner import run
 
 
 def read_csv(path):
@@ -325,14 +325,6 @@ def test_fig2_emits_both_sizes(tmp_path):
         "manifest.json",
     } <= names
     check_manifest(tmp_path)
-
-
-def test_emit_figure_data_retargets_config(tmp_path):
-    cfg = RunConfig(experiment="trace", n=4, seed=1, out_dir=tmp_path, quiet=True)
-    emit_figure_data("fig1", cfg)
-    assert (tmp_path / "fig1_equal_spectrum.csv").exists()
-    with pytest.raises(sb.ValidationError):
-        emit_figure_data("fig9", cfg)
 
 
 def test_capacity_error_propagates(tmp_path):

@@ -23,7 +23,7 @@ from .model import (
     TimeGrid,
     decoherence_trace,
 )
-from .rng import cauchy, standard_normal, stream_generator
+from .rng import cauchy, rekeyed_generator, standard_normal
 
 _COUPLING_KINDS = {"fixed": 1, "uniform": 2, "gaussian": 2, "lorentzian": 2}
 
@@ -177,7 +177,7 @@ def sample_couplings(
     """Draw N couplings; identical (dist, n, seed, stream) give identical bits."""
     if n < 1:
         raise ValidationError("need at least one coupling")
-    gen = stream_generator(seed, stream)
+    gen = rekeyed_generator(seed, stream)
     if dist.kind == "fixed":
         values = np.full(n, dist.params[0])
     elif dist.kind == "uniform":
@@ -213,7 +213,7 @@ def sample_amplitudes(
         raise ValidationError("need at least one amplitude pair")
     if rule.kind != "random":
         return _seedless_amplitudes(rule, n, str(rule))
-    gen = stream_generator(seed, stream)
+    gen = rekeyed_generator(seed, stream)
     z = standard_normal(gen, 4 * n)
     alpha = z[0::4] + 1j * z[1::4]
     beta = z[2::4] + 1j * z[3::4]
@@ -266,5 +266,5 @@ def ensemble_average_trace(
         acc += trace.values
         if keep_realizations:
             kept.append(trace)
-    mean = DecoherenceTrace(times=grid.samples, values=acc / spec.realizations, n_spins=spec.n)
+    mean = DecoherenceTrace._adopt(grid.samples, acc / spec.realizations, spec.n)
     return EnsembleResult(mean=mean, realizations=tuple(kept) if keep_realizations else None)

@@ -161,8 +161,23 @@ class DecoherenceTrace:
     n_spins: int
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=np.float64, copy=True)
-        values = np.array(self.values, dtype=np.complex128, copy=True)
+        self._freeze(
+            np.array(self.times, dtype=np.float64, copy=True),
+            np.array(self.values, dtype=np.complex128, copy=True),
+        )
+
+    @classmethod
+    def _adopt(cls, times: np.ndarray, values: np.ndarray, n_spins: int) -> DecoherenceTrace:
+        """Validate and freeze float64 times and complex128 values without
+        the public constructor's copies.  The caller hands over ``values``,
+        which it has just allocated, and ``times``, which is fresh or
+        already read-only."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "n_spins", n_spins)
+        trace._freeze(times, values)
+        return trace
+
+    def _freeze(self, times: np.ndarray, values: np.ndarray) -> None:
         if times.ndim != 1 or times.size < 1 or times.shape != values.shape:
             raise ValidationError("trace times and values must be matching 1-d arrays")
         mags = np.abs(values)
@@ -194,10 +209,23 @@ def _branch_product(up_w, down_w, up_rate, down_rate, t):
     returned there.  Every factor has modulus at most up_w_k + down_w_k = 1,
     so no partial product is smaller than the result: the plain product
     cannot underflow before the result itself does.
+
+    ``down_rate=None`` stands for the mirrored rates -up_rate: one complex
+    exponential per spin and time instead of two.  e^{-i g t} is taken as
+    the conjugate of e^{i g t}, which has the bits of the second
+    exponential (cos is even and sin odd, bit for bit) except where g t is
+    +-0.  There e^{i (-0)} is 1 + 0j and the conjugate 1 - 0j; adding +0.0
+    to its imaginary part gives +0 and changes no other value.
     """
     if isinstance(t, float) and t == 0.0:
         return 1.0 + 0.0j
-    factors = up_w * np.exp(1j * (up_rate * t)) + down_w * np.exp(1j * (down_rate * t))
+    up = np.exp(1j * (up_rate * t))
+    if down_rate is None:
+        down = np.conj(up)
+        down.imag += 0.0
+    else:
+        down = np.exp(1j * (down_rate * t))
+    factors = up_w * up + down_w * down
     r = np.multiply.reduce(factors, axis=-1)  # np.prod without its Python wrapper
     if isinstance(t, np.ndarray):
         r[t[:, 0] == 0.0] = 1.0
@@ -212,7 +240,7 @@ def decoherence_factor(couplings: CouplingSet, amps: EnvironmentAmplitudes, t) -
     """
     _require_matching_sizes(couplings.n, amps.n, "couplings vs amplitudes")
     g = couplings.couplings
-    return complex(_branch_product(amps.alpha_sq, amps.beta_sq, g, -g, _checked_time(t)))
+    return complex(_branch_product(amps.alpha_sq, amps.beta_sq, g, None, _checked_time(t)))
 
 
 def decoherence_trace(
@@ -230,7 +258,7 @@ def decoherence_trace(
     if isinstance(grid, TimeGrid):
         samples = grid.samples
     else:
-        samples = np.asarray(grid, dtype=np.float64)
+        samples = np.array(grid, dtype=np.float64, copy=True)
         if samples.ndim != 1 or samples.size < 1 or not np.all(np.isfinite(samples)):
             raise ValidationError("times must be a non-empty 1-d array of finite values")
     g = couplings.couplings
@@ -238,8 +266,8 @@ def decoherence_trace(
     block = max(1, _BLOCK_BYTES // (16 * couplings.n))
     values = np.concatenate(
         [
-            _branch_product(amps.alpha_sq, amps.beta_sq, g, -g, times[i : i + block])
+            _branch_product(amps.alpha_sq, amps.beta_sq, g, None, times[i : i + block])
             for i in range(0, times.shape[0], block)
         ]
     )
-    return DecoherenceTrace(times=samples, values=values, n_spins=couplings.n)
+    return DecoherenceTrace._adopt(samples, values, couplings.n)

@@ -12,24 +12,61 @@ the same on every platform.  The normal and Cauchy deviates are not:
 AVX-512) code paths, whose last bits differ from the baseline build, so
 ``gaussian`` and ``lorentzian`` couplings and ``random`` amplitudes
 depend on the CPU numpy runs on.
+
+Samplers draw from ``rekeyed_generator``: one generator per thread whose
+Philox state is reset to the start of each requested stream.  Its words
+equal those of a fresh ``stream_generator`` for the same pair, without
+the cost of building (and seeding) a new bit generator per stream.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+_local = threading.local()
+
+
+def _stream_state(seed: int, stream: int) -> dict:
+    """Philox state at the start of the (seed, stream) stream.
+
+    Key layout: low 64 bits = seed, high 64 bits = stream index, each
+    masked to 64 bits.  The counter is zero and the word buffers are empty.
+    """
+    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)  # the setter copies it into both fields
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
 
 def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator for the given (seed, stream) pair.
+    """A new generator for the given (seed, stream) pair."""
+    bitgen = np.random.Philox(0)  # a fixed seed skips gathering OS entropy
+    bitgen.state = _stream_state(seed, stream)
+    return np.random.Generator(bitgen)
 
-    Key layout: low 64 bits = seed, high 64 bits = stream index.
+
+def rekeyed_generator(seed: int, stream: int = 0) -> np.random.Generator:
+    """This thread's generator, reset to the start of the (seed, stream) stream.
+
+    It draws the same words as ``stream_generator(seed, stream)``.  The
+    next call in the same thread resets it again, so finish drawing first.
     """
-    key = (int(seed) & _MASK64) | ((int(stream) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = _stream_state(seed, stream)
+    return gen
 
 
 def standard_normal(gen: np.random.Generator, size: int) -> np.ndarray:

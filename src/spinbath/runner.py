@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -67,8 +68,22 @@ def _json_repr(value: float) -> str:
     return repr(value).replace("nan", "NaN").replace("inf", "Infinity")
 
 
+@dataclass(frozen=True)
+class _Tiled:
+    """A column holding ``reps`` copies of the 1-d array ``tile`` end to end."""
+
+    tile: np.ndarray
+    reps: int
+
+    def __len__(self) -> int:
+        return self.tile.size * self.reps
+
+
+_Column = np.ndarray | _Tiled
+
+
 def _cells(
-    col: np.ndarray, rows: int, nonfinite_repr: Callable[[Any], str]
+    col: _Column, rows: int, nonfinite_repr: Callable[[Any], str]
 ) -> Iterator[Iterable[str]]:
     """The text of each value of a column, one chunk of rows at a time.
 
@@ -78,8 +93,16 @@ def _cells(
     instead.  A chunk whose rows all have the same bits, such as a
     repeated walk weight, is formatted once; comparing bits, not values,
     keeps -0.0 and 0.0 apart.  Columns are float64 or int64, whose bits
-    view as int64.
+    view as int64.  A ``_Tiled`` column spells its tile once.
     """
+    if isinstance(col, _Tiled):
+        # nonfinite_repr spells a finite value as repr does.
+        text = [nonfinite_repr(value) for value in col.tile.tolist()]
+        for start in range(0, rows, _CHUNK_ROWS):
+            offset = start % len(text)
+            size = min(_CHUNK_ROWS, rows - start)
+            yield itertools.islice(itertools.cycle(text), offset, offset + size)
+        return
     for start in range(0, rows, _CHUNK_ROWS):
         chunk = col[start : start + _CHUNK_ROWS]
         bits = chunk.view(np.int64)
@@ -92,14 +115,14 @@ def _cells(
             yield map(spell, chunk.tolist())
 
 
-def _csv_blocks(columns: dict[str, np.ndarray], rows: int) -> Iterator[str]:
+def _csv_blocks(columns: dict[str, _Column], rows: int) -> Iterator[str]:
     yield ",".join(columns) + "\n"
     for chunk in zip(*(_cells(col, rows, repr) for col in columns.values())):
         yield "\n".join(map(",".join, zip(*chunk)))
         yield "\n"
 
 
-def _json_blocks(columns: dict[str, np.ndarray], rows: int) -> Iterator[str]:
+def _json_blocks(columns: dict[str, _Column], rows: int) -> Iterator[str]:
     """The bytes of ``json.dump({header: col.tolist()}, indent=2)`` plus a newline."""
     opening = "{"
     for header, col in columns.items():
@@ -114,7 +137,7 @@ def _json_blocks(columns: dict[str, np.ndarray], rows: int) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _write_table(path: Path, columns: dict[str, np.ndarray]) -> tuple[int, str]:
+def _write_table(path: Path, columns: dict[str, _Column]) -> tuple[int, str]:
     """Write equal-length named columns, in order, as CSV or JSON by suffix.
 
     The file is streamed in chunks of rows and hashed as it is written.
@@ -125,7 +148,7 @@ def _write_table(path: Path, columns: dict[str, np.ndarray]) -> tuple[int, str]:
     return rows, _write_hashed(path, blocks(columns, rows))
 
 
-def _r_columns(times: np.ndarray, values: np.ndarray) -> dict[str, np.ndarray]:
+def _r_columns(times: _Column, values: np.ndarray) -> dict[str, _Column]:
     # np.hypot matches scalar abs() of a complex bit for bit; the array
     # np.abs does not, and the published abs_r cells come from abs().
     return {
@@ -157,7 +180,7 @@ class _Artifacts:
         if not self.quiet:
             print(f"wrote {path}")
 
-    def table(self, name: str, role: str, columns: dict[str, np.ndarray]) -> None:
+    def table(self, name: str, role: str, columns: dict[str, _Column]) -> None:
         path = self.out_dir / f"{name}.{self.fmt}"
         rows, digest = _write_table(path, columns)
         self._register(path, role, digest, rows)
@@ -175,15 +198,20 @@ def _ensemble_table(
     labels: Sequence[int],
     floor: float | None,
 ) -> None:
-    """Stack traces on one time grid, each row tagged with its entry of ``labels``."""
+    """Stack traces on one time grid, each row tagged with its entry of ``labels``.
+
+    When every trace's times have the bits of the first trace's, the time
+    column is that grid tiled, which the writer spells once.
+    """
     steps = len(traces[0])
+    grid = traces[0].times
+    times: _Column
+    if all(trace.times is grid or trace.times.tobytes() == grid.tobytes() for trace in traces):
+        times = _Tiled(grid, len(traces))
+    else:
+        times = np.concatenate([trace.times for trace in traces])
     columns = {"realization": np.repeat(labels, steps)}
-    columns.update(
-        _r_columns(
-            np.concatenate([trace.times for trace in traces]),
-            np.concatenate([trace.values for trace in traces]),
-        )
-    )
+    columns.update(_r_columns(times, np.concatenate([trace.values for trace in traces])))
     if floor is not None:
         columns["floor"] = np.full(steps * len(traces), floor)
     art.table(name, role, columns)

@@ -1,8 +1,26 @@
 """Tests for the deterministic stream layer."""
 
-import numpy as np
+import threading
 
-from spinbath.rng import cauchy, standard_normal, stream_generator
+import numpy as np
+import pytest
+
+import spinbath as sb
+from spinbath.rng import cauchy, rekeyed_generator, standard_normal, stream_generator
+
+_MASK64 = (1 << 64) - 1
+
+_SEEDS = [0, 42, -1, -(1 << 70) - 5, 1 << 64, (1 << 64) + 3, (1 << 100) + 7]
+_STREAMS = [0, 1, 7, 2 * 499 + 1, 1 << 62, _MASK64]
+
+
+def _words(gen):
+    """A uint32 draw, raw 64-bit words and uniforms, in that order."""
+    return (
+        gen.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist(),
+        gen.bit_generator.random_raw(5).tolist(),
+        gen.random(4).tolist(),
+    )
 
 
 def test_streams_are_reproducible():
@@ -48,3 +66,59 @@ def test_cauchy_median_and_heavy_tail():
 def test_cauchy_center_shift():
     shifted = cauchy(stream_generator(3, 0), 10**4, center=5.0, width=1.0)
     assert abs(np.median(shifted) - 5.0) < 4.0 / np.sqrt(10**4)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_stream_generator_keys_masked_seed_and_stream(seed):
+    for stream in _STREAMS:
+        key = (seed & _MASK64) | ((stream & _MASK64) << 64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        assert _words(stream_generator(seed, stream)) == _words(want)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_rekeyed_generator_draws_the_words_of_a_fresh_one(seed):
+    for stream in _STREAMS:
+        # Each _words call leaves a uint32 half-word buffered (has_uint32
+        # set) on the stream before; the reset must drop it.
+        assert _words(rekeyed_generator(seed, stream)) == _words(stream_generator(seed, stream))
+    assert rekeyed_generator(seed, 0) is rekeyed_generator(seed, 1)
+
+
+def test_rekeyed_generators_are_per_thread():
+    dist = sb.CouplingDistribution.lorentzian(0.0, 0.25)
+    rule = sb.AmplitudeRule.random()
+    expected = {
+        seed: [
+            (
+                stream_generator(seed, s).random(6).tolist(),
+                sb.sample_couplings(dist, 9, seed, stream=2 * s).couplings.tolist(),
+                sb.sample_amplitudes(rule, 9, seed, stream=2 * s + 1).alpha.tolist(),
+            )
+            for s in range(300)
+        ]
+        for seed in (3, 4)
+    }
+    got = {}
+    gens = {}
+    start = threading.Barrier(2)
+
+    def work(seed):
+        start.wait()
+        gens[seed] = rekeyed_generator(seed, 0)
+        got[seed] = [
+            (
+                rekeyed_generator(seed, s).random(6).tolist(),
+                sb.sample_couplings(dist, 9, seed, stream=2 * s).couplings.tolist(),
+                sb.sample_amplitudes(rule, 9, seed, stream=2 * s + 1).alpha.tolist(),
+            )
+            for s in range(300)
+        ]
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in expected]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == expected
+    assert gens[3] is not gens[4]

@@ -12,6 +12,7 @@ import spinbath as sb
 from spinbath.config import RunConfig
 from spinbath import runner
 from spinbath.runner import run
+from helpers import random_model
 
 
 def read_csv(path):
@@ -136,6 +137,74 @@ def test_one_value_chunks_are_formatted_once(tmp_path, fmt, monkeypatch):
     column = np.broadcast_to(np.array([0.25]), (3 << 10,))
     runner._write_table(tmp_path / f"table.{fmt}", {"weight": column})
     assert 1 <= len(calls) <= 3
+
+
+def _ensemble_cases():
+    rng = np.random.default_rng(20031207)
+    c, a = random_model(rng, 5)
+    signed = sb.decoherence_trace(c, a, np.array([-0.0, 0.25, -1.5, 3.0]))
+    seven = sb.decoherence_trace(c, a, sb.TimeGrid(0.0, 2.0, 7))
+    # A rebuilt trace holds its own copy of the same time bits.
+    copy = sb.DecoherenceTrace(seven.times, np.conj(seven.values), 5)
+    reps = runner._CHUNK_ROWS // 7 + 2  # 65,536 = 7 * 9362 + 2
+    other = sb.decoherence_trace(c, a, sb.TimeGrid(0.0, 3.0, 7))
+    plus_zero = sb.decoherence_trace(c, a, np.array([0.0, 0.25, -1.5, 3.0]))
+    nonfinite = sb.DecoherenceTrace([-0.0, 1e-300, np.inf, -np.inf, np.nan], [1, 0.5, 0, 0, 0], 1)
+    # The shape of fig3_trace_n100: one N = 100 trace.
+    dist = sb.CouplingDistribution.lorentzian(0.0, 0.25)
+    spec = sb.EnsembleSpec(dist, sb.AmplitudeRule.equal(), n=100, realizations=1, seed=9)
+    n100 = sb.decoherence_trace(*sb.realization_model(spec, 0), sb.TimeGrid(0.0, 10.0, 201))
+    return {
+        "signed-zero": ([signed, signed, signed], [0, 1, -1], None),
+        "chunk-crossing": ([seven] * reps + [copy], [*range(reps), -1], 2.0**-3),
+        "nonfinite": ([nonfinite, nonfinite], [0, -1], None),
+        "fig3-trace-n100": ([n100], [0], 2.0**-50),
+        "unequal-bits": ([signed, plus_zero], [0, -1], None),
+        "unequal-grids": ([seven, other], [0, -1], 0.5),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "case",
+    ["signed-zero", "chunk-crossing", "nonfinite", "fig3-trace-n100", "unequal-bits", "unequal-grids"],
+)
+def test_ensemble_table_matches_flat_time_column(tmp_path, case, fmt):
+    # The tiled time column must give the bytes of the concatenated one,
+    # including -0.0 cells, chunk boundaries inside a tile (steps = 7) and
+    # non-finite times; traces whose times differ in any bit fall back.
+    traces, labels, floor = _ensemble_cases()[case]
+    art = runner._Artifacts(tmp_path, fmt, quiet=True)
+    runner._ensemble_table(art, "table", "role", traces, labels, floor)
+    steps = len(traces[0])
+    flat = {"realization": np.repeat(labels, steps)}
+    flat.update(
+        runner._r_columns(
+            np.concatenate([trace.times for trace in traces]),
+            np.concatenate([trace.values for trace in traces]),
+        )
+    )
+    if floor is not None:
+        flat["floor"] = np.full(len(flat["realization"]), floor)
+    path = tmp_path / f"table.{fmt}"
+    data = path.read_bytes()
+    assert data == _reference_table(path, flat).encode("utf-8")
+    assert art.entries[0]["sha256"] == hashlib.sha256(data).hexdigest()
+    assert art.entries[0]["rows"] == len(flat["t"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tiled_time_column_is_formatted_once(tmp_path, fmt, monkeypatch):
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(runner, "repr", counting_repr, raising=False)
+    tile = np.linspace(0.0, 3.0, 7)
+    runner._write_table(tmp_path / f"table.{fmt}", {"t": runner._Tiled(tile, 3 * runner._CHUNK_ROWS)})
+    assert calls == tile.tolist()
 
 
 def test_trace_run_writes_contracted_columns(tmp_path):

@@ -213,16 +213,15 @@ def _branch_product(up_w, down_w, up_rate, down_rate, t):
     ``down_rate=None`` stands for the mirrored rates -up_rate: one complex
     exponential per spin and time instead of two.  e^{-i g t} is taken as
     the conjugate of e^{i g t}, which has the bits of the second
-    exponential (cos is even and sin odd, bit for bit) except where g t is
-    +-0.  There e^{i (-0)} is 1 + 0j and the conjugate 1 - 0j; adding +0.0
-    to its imaginary part gives +0 and changes no other value.
+    exponential (cos is even and sin odd, bit for bit) save the sign of a
+    zero imaginary part where g t is +-0; multiplying by the real weight
+    makes that zero +0 either way.
     """
     if isinstance(t, float) and t == 0.0:
         return 1.0 + 0.0j
     up = np.exp(1j * (up_rate * t))
     if down_rate is None:
         down = np.conj(up)
-        down.imag += 0.0
     else:
         down = np.exp(1j * (down_rate * t))
     factors = up_w * up + down_w * down

@@ -51,7 +51,7 @@ def _stream_state(seed: int, stream: int) -> dict:
 
 def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """A new generator for the given (seed, stream) pair."""
-    bitgen = np.random.Philox(0)  # a fixed seed skips gathering OS entropy
+    bitgen = np.random.Philox(0)  # any fixed seed: the state is replaced next
     bitgen.state = _stream_state(seed, stream)
     return np.random.Generator(bitgen)
 

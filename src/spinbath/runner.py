@@ -29,6 +29,7 @@ from .ensembles import (
     realization_model,
     sample_couplings,
 )
+from .errors import ValidationError
 from .limits import check_time_average, gaussian_validity_window, summarize
 from .model import DecoherenceTrace, decoherence_trace
 from .spectrum import (
@@ -200,18 +201,17 @@ def _ensemble_table(
 ) -> None:
     """Stack traces on one time grid, each row tagged with its entry of ``labels``.
 
-    When every trace's times have the bits of the first trace's, the time
-    column is that grid tiled, which the writer spells once.
+    The traces must share one ``times`` array; the time column is that
+    grid tiled, which the writer spells once.
     """
     steps = len(traces[0])
     grid = traces[0].times
-    times: _Column
-    if all(trace.times is grid or trace.times.tobytes() == grid.tobytes() for trace in traces):
-        times = _Tiled(grid, len(traces))
-    else:
-        times = np.concatenate([trace.times for trace in traces])
+    if any(trace.times is not grid for trace in traces):
+        raise ValidationError("ensemble traces must share one time grid")
     columns = {"realization": np.repeat(labels, steps)}
-    columns.update(_r_columns(times, np.concatenate([trace.values for trace in traces])))
+    columns.update(
+        _r_columns(_Tiled(grid, len(traces)), np.concatenate([trace.values for trace in traces]))
+    )
     if floor is not None:
         columns["floor"] = np.full(steps * len(traces), floor)
     art.table(name, role, columns)

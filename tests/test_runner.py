@@ -144,11 +144,9 @@ def _ensemble_cases():
     c, a = random_model(rng, 5)
     signed = sb.decoherence_trace(c, a, np.array([-0.0, 0.25, -1.5, 3.0]))
     seven = sb.decoherence_trace(c, a, sb.TimeGrid(0.0, 2.0, 7))
-    # A rebuilt trace holds its own copy of the same time bits.
-    copy = sb.DecoherenceTrace(seven.times, np.conj(seven.values), 5)
+    # A second trace on the same grid, as an ensemble mean is built.
+    conj = sb.DecoherenceTrace._adopt(seven.times, np.conj(seven.values), 5)
     reps = runner._CHUNK_ROWS // 7 + 2  # 65,536 = 7 * 9362 + 2
-    other = sb.decoherence_trace(c, a, sb.TimeGrid(0.0, 3.0, 7))
-    plus_zero = sb.decoherence_trace(c, a, np.array([0.0, 0.25, -1.5, 3.0]))
     nonfinite = sb.DecoherenceTrace([-0.0, 1e-300, np.inf, -np.inf, np.nan], [1, 0.5, 0, 0, 0], 1)
     # The shape of fig3_trace_n100: one N = 100 trace.
     dist = sb.CouplingDistribution.lorentzian(0.0, 0.25)
@@ -156,23 +154,18 @@ def _ensemble_cases():
     n100 = sb.decoherence_trace(*sb.realization_model(spec, 0), sb.TimeGrid(0.0, 10.0, 201))
     return {
         "signed-zero": ([signed, signed, signed], [0, 1, -1], None),
-        "chunk-crossing": ([seven] * reps + [copy], [*range(reps), -1], 2.0**-3),
+        "chunk-crossing": ([seven] * reps + [conj], [*range(reps), -1], 2.0**-3),
         "nonfinite": ([nonfinite, nonfinite], [0, -1], None),
         "fig3-trace-n100": ([n100], [0], 2.0**-50),
-        "unequal-bits": ([signed, plus_zero], [0, -1], None),
-        "unequal-grids": ([seven, other], [0, -1], 0.5),
     }
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize(
-    "case",
-    ["signed-zero", "chunk-crossing", "nonfinite", "fig3-trace-n100", "unequal-bits", "unequal-grids"],
-)
+@pytest.mark.parametrize("case", ["signed-zero", "chunk-crossing", "nonfinite", "fig3-trace-n100"])
 def test_ensemble_table_matches_flat_time_column(tmp_path, case, fmt):
     # The tiled time column must give the bytes of the concatenated one,
     # including -0.0 cells, chunk boundaries inside a tile (steps = 7) and
-    # non-finite times; traces whose times differ in any bit fall back.
+    # non-finite times.
     traces, labels, floor = _ensemble_cases()[case]
     art = runner._Artifacts(tmp_path, fmt, quiet=True)
     runner._ensemble_table(art, "table", "role", traces, labels, floor)
@@ -191,6 +184,15 @@ def test_ensemble_table_matches_flat_time_column(tmp_path, case, fmt):
     assert data == _reference_table(path, flat).encode("utf-8")
     assert art.entries[0]["sha256"] == hashlib.sha256(data).hexdigest()
     assert art.entries[0]["rows"] == len(flat["t"])
+
+
+def test_ensemble_table_rejects_traces_on_separate_grids(tmp_path):
+    c, a = random_model(np.random.default_rng(3), 4)
+    grid = sb.TimeGrid(0.0, 2.0, 7)
+    traces = [sb.decoherence_trace(c, a, grid), sb.decoherence_trace(c, a, grid.samples)]
+    art = runner._Artifacts(tmp_path, "csv", quiet=True)
+    with pytest.raises(sb.ValidationError):
+        runner._ensemble_table(art, "table", "role", traces, [0, -1], None)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -32,7 +32,7 @@ from typing import Any
 
 from .ensembles import AmplitudeRule, CouplingDistribution
 from .errors import ValidationError
-from .model import TimeGrid
+from .model import TimeGrid, _checked_int
 
 EXPERIMENTS = ("trace", "spectrum", "ldos", "ensemble", "echo", "average-check", "figure")
 FIGURES = ("fig1", "fig2", "fig3")
@@ -76,9 +76,17 @@ class RunConfig:
                 raise ConfigError(f"figure experiment needs figure one of {FIGURES}")
         elif self.figure is not None:
             raise ConfigError("figure key only applies to the figure experiment")
-        for name, lo in (("n", 1), ("realizations", 1), ("steps", 1), ("samples", 1)):
-            if int(getattr(self, name)) < lo:
-                raise ConfigError(f"{name} must be >= {lo}")
+        for name in ("seed", "n", "realizations", "steps", "samples", "bins"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                value = _checked_int(value, name)
+            except ValidationError as exc:
+                raise ConfigError(str(exc)) from exc
+            if value < 1 and name != "seed":
+                raise ConfigError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
         # Checked whatever the experiment: every value lands in manifest.json,
         # which holds strict JSON (no NaN or Infinity).
         for name in ("start", "stop", "merge_epsilon", "horizon"):
@@ -89,13 +97,6 @@ class RunConfig:
             raise ConfigError("merge_epsilon must be >= 0")
         if self.horizon is not None and self.horizon <= 0.0:
             raise ConfigError("horizon must be > 0")
-        if self.bins is not None and int(self.bins) < 1:
-            raise ConfigError("bins must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "realizations", int(self.realizations))
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
     def time_grid(self) -> TimeGrid:

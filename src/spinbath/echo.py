@@ -22,7 +22,7 @@ from .model import (
     _readonly,
     _require_matching_sizes,
 )
-from .spectrum import ENUMERATION_CAP, EnergySpectrum, enumerate_walks
+from .spectrum import EnergySpectrum, enumerate_walks
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +86,7 @@ def survival_probability(
     return float(abs(amp) ** 2)
 
 
-def branch_spectrum(
-    h: DiagonalBranchHamiltonian,
-    amps: EnvironmentAmplitudes,
-    *,
-    cap: int = ENUMERATION_CAP,
-) -> EnergySpectrum:
+def branch_spectrum(h: DiagonalBranchHamiltonian, amps: EnvironmentAmplitudes) -> EnergySpectrum:
     """Weighted eigenenergy spectrum of a diagonal branch Hamiltonian.
 
     Per-spin choices (up_k with weight |alpha_k|^2, down_k with
@@ -101,5 +96,5 @@ def branch_spectrum(
     """
     half = CouplingSet(0.5 * (h.up - h.down))
     shift = float(np.sum(0.5 * (h.up + h.down)))
-    base = enumerate_walks(half, amps, cap=cap)
+    base = enumerate_walks(half, amps)
     return EnergySpectrum._adopt(base.energies + shift, base.weights, base.n_spins, merged=False)

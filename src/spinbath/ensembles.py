@@ -21,6 +21,8 @@ from .model import (
     DecoherenceTrace,
     EnvironmentAmplitudes,
     TimeGrid,
+    _checked_int,
+    _readonly,
     decoherence_trace,
 )
 from .rng import cauchy, rekeyed_generator, standard_normal
@@ -162,13 +164,12 @@ class EnsembleSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if int(self.n) < 1:
+        for name in ("n", "realizations", "seed"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
+        if self.n < 1:
             raise ValidationError("need at least one environment spin")
-        if int(self.realizations) < 1:
+        if self.realizations < 1:
             raise ValidationError("need at least one realization")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "realizations", int(self.realizations))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def sample_couplings(
@@ -227,12 +228,16 @@ def sample_amplitudes(
     return EnvironmentAmplitudes(alpha / norm, beta / norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Pointwise complex mean trace, optionally with every realization."""
+    """Pointwise complex mean trace and every realization's r(t).
+
+    ``values`` is a read-only (realizations, steps) array whose row i is
+    realization i on the mean's time grid.
+    """
 
     mean: DecoherenceTrace
-    realizations: tuple[DecoherenceTrace, ...] | None = None
+    values: np.ndarray
 
 
 def realization_model(
@@ -246,25 +251,17 @@ def realization_model(
     return couplings, amps
 
 
-def ensemble_average_trace(
-    spec: EnsembleSpec,
-    grid: TimeGrid,
-    *,
-    keep_realizations: bool = False,
-) -> EnsembleResult:
-    """Average r(t) over the ensemble's realizations.
+def ensemble_average_trace(spec: EnsembleSpec, grid: TimeGrid) -> EnsembleResult:
+    """Evaluate every realization on the grid and average r(t) over them.
 
-    Each realization is added into the mean as soon as it is evaluated, in
-    realization order, so memory stays one trace unless the realizations
-    are kept.
+    The rows are added into a zeros-start mean in realization order.
+    numpy's reductions over axis 0 pick their order by memory layout; on a
+    one-sample grid they sum pairwise, which gives other bits.
     """
+    values = np.empty((spec.realizations, len(grid)), dtype=np.complex128)
     acc = np.zeros(len(grid), dtype=np.complex128)
-    kept = []
-    for index in range(spec.realizations):
-        couplings, amps = realization_model(spec, index)
-        trace = decoherence_trace(couplings, amps, grid)
-        acc += trace.values
-        if keep_realizations:
-            kept.append(trace)
+    for index, row in enumerate(values):
+        row[:] = decoherence_trace(*realization_model(spec, index), grid).values
+        acc += row
     mean = DecoherenceTrace._adopt(grid.samples, acc / spec.realizations, spec.n)
-    return EnsembleResult(mean=mean, realizations=tuple(kept) if keep_realizations else None)
+    return EnsembleResult(mean, _readonly(values))

@@ -20,6 +20,7 @@ from .model import (
     CouplingSet,
     EnvironmentAmplitudes,
     decoherence_trace,
+    _checked_int,
     _readonly,
     _require_matching_sizes,
 )
@@ -105,7 +106,7 @@ def laplace_demoivre_weight(n: int, l: int, up_weight: float) -> float:
     Approximates C(n, l) |alpha|^(2(n-l)) |beta|^(2l) for equal couplings
     and equal amplitudes with |alpha|^2 = up_weight.
     """
-    n, l = int(n), int(l)
+    n, l = _checked_int(n, "n"), _checked_int(l, "l")
     if n < 1 or not 0 <= l <= n:
         raise ValidationError("need n >= 1 and 0 <= l <= n")
     up_weight = float(up_weight)
@@ -228,12 +229,13 @@ def check_time_average(
     blocks), which stays honest when nearby time samples are correlated.
     Batch means need at least two samples and two blocks.
     """
+    samples, blocks = _checked_int(samples, "samples"), _checked_int(blocks, "blocks")
     if samples < 2 or blocks < 2:
         raise ValidationError("batch means need at least 2 samples and 2 blocks")
     horizon, sq = _sq_magnitude_samples(couplings, amps, horizon, samples)
     analytic = long_time_average_sq(amps)
     empirical = float(sq.mean())
-    blocks = min(int(blocks), sq.size)
+    blocks = min(blocks, sq.size)
     block_means = np.array([b.mean() for b in np.array_split(sq, blocks)])
     stderr = float(block_means.std(ddof=1) / math.sqrt(blocks))
     gap = abs(empirical - analytic)
@@ -244,5 +246,5 @@ def check_time_average(
         stderr=stderr,
         n_sigma=n_sigma,
         horizon=horizon,
-        samples=int(samples),
+        samples=samples,
     )

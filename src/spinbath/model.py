@@ -134,7 +134,8 @@ class TimeGrid:
     samples: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        start, stop, steps = float(self.start), float(self.stop), int(self.steps)
+        start, stop = float(self.start), float(self.stop)
+        steps = _checked_int(self.steps, "grid steps")
         if not (np.isfinite(start) and np.isfinite(stop)):
             raise ValidationError("grid endpoints must be finite")
         if steps < 1:
@@ -191,6 +192,18 @@ class DecoherenceTrace:
 
     def __len__(self) -> int:
         return self.times.size
+
+
+def _checked_int(value, what: str) -> int:
+    """value as an int; a bool or a value with a fractional part raises,
+    where int() would take True as 1 and 2.5 as 2.
+
+    Python and numpy integers pass, and so do floats holding a whole number.
+    """
+    whole = isinstance(value, (float, np.floating)) and value.is_integer()
+    if whole or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _checked_time(t) -> float:

@@ -15,8 +15,8 @@ depend on the CPU numpy runs on.
 
 Samplers draw from ``rekeyed_generator``: one generator per thread whose
 Philox state is reset to the start of each requested stream.  Its words
-equal those of a fresh ``stream_generator`` for the same pair, without
-the cost of building (and seeding) a new bit generator per stream.
+equal those of numpy's ``Philox(key=seed | stream << 64)``, without the
+cost of building (and seeding) a new bit generator per stream.
 """
 
 from __future__ import annotations
@@ -49,17 +49,10 @@ def _stream_state(seed: int, stream: int) -> dict:
     }
 
 
-def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """A new generator for the given (seed, stream) pair."""
-    bitgen = np.random.Philox(0)  # any fixed seed: the state is replaced next
-    bitgen.state = _stream_state(seed, stream)
-    return np.random.Generator(bitgen)
-
-
 def rekeyed_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """This thread's generator, reset to the start of the (seed, stream) stream.
 
-    It draws the same words as ``stream_generator(seed, stream)``.  The
+    It draws the same words as a new ``Philox`` keyed by the pair.  The
     next call in the same thread resets it again, so finish drawing first.
     """
     gen = getattr(_local, "gen", None)

@@ -29,9 +29,8 @@ from .ensembles import (
     realization_model,
     sample_couplings,
 )
-from .errors import ValidationError
 from .limits import check_time_average, gaussian_validity_window, summarize
-from .model import DecoherenceTrace, decoherence_trace
+from .model import decoherence_trace
 from .spectrum import (
     _CHUNK_ROWS,
     _checked_bins,
@@ -195,25 +194,18 @@ def _ensemble_table(
     art: _Artifacts,
     name: str,
     role: str,
-    traces: Sequence[DecoherenceTrace],
+    times: np.ndarray,
+    values: np.ndarray,
     labels: Sequence[int],
     floor: float | None,
 ) -> None:
-    """Stack traces on one time grid, each row tagged with its entry of ``labels``.
-
-    The traces must share one ``times`` array; the time column is that
-    grid tiled, which the writer spells once.
-    """
-    steps = len(traces[0])
-    grid = traces[0].times
-    if any(trace.times is not grid for trace in traces):
-        raise ValidationError("ensemble traces must share one time grid")
-    columns = {"realization": np.repeat(labels, steps)}
-    columns.update(
-        _r_columns(_Tiled(grid, len(traces)), np.concatenate([trace.values for trace in traces]))
-    )
+    """Write each row of ``values``, r(t) on the grid ``times``, as a block
+    of table rows tagged with its entry of ``labels``.  The time column is
+    ``times`` tiled, which the writer spells once."""
+    columns = {"realization": np.repeat(labels, times.size)}
+    columns.update(_r_columns(_Tiled(times, len(values)), values.reshape(-1)))
     if floor is not None:
-        columns["floor"] = np.full(steps * len(traces), floor)
+        columns["floor"] = np.full(values.size, floor)
     art.table(name, role, columns)
 
 
@@ -331,9 +323,10 @@ def _ensemble_artifact(
     cfg: RunConfig, art: _Artifacts, name: str, role: str, dist, n: int, floor: float | None
 ) -> None:
     spec = _spec(cfg, dist, n, cfg.realizations)
-    result = ensemble_average_trace(spec, cfg.time_grid(), keep_realizations=True)
-    traces = [*result.realizations, result.mean]
-    _ensemble_table(art, name, role, traces, [*range(len(traces) - 1), -1], floor)
+    result = ensemble_average_trace(spec, cfg.time_grid())
+    values = np.concatenate([result.values, result.mean.values[np.newaxis]])
+    labels = [*range(spec.realizations), -1]
+    _ensemble_table(art, name, role, result.mean.times, values, labels, floor)
 
 
 def _emit_fig1(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
@@ -388,7 +381,8 @@ def _emit_fig3(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     _ensemble_artifact(cfg, art, f"fig3_traces_n{cfg.n}", f"traces-n{cfg.n}", dist, cfg.n, floor)
     couplings, amps = _model(cfg, dist, 100)
     trace = decoherence_trace(couplings, amps, cfg.time_grid())
-    _ensemble_table(art, "fig3_trace_n100", "trace-thin-n100", [trace], [0], 2.0**-50)
+    row = trace.values[np.newaxis]
+    _ensemble_table(art, "fig3_trace_n100", "trace-thin-n100", trace.times, row, [0], 2.0**-50)
     return {"distribution": str(dist), "saturation_floor": floor}
 
 

@@ -17,9 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .model import CouplingSet, EnvironmentAmplitudes, _checked_time, _readonly, _require_matching_sizes
+from .model import (
+    CouplingSet,
+    EnvironmentAmplitudes,
+    _checked_int,
+    _checked_time,
+    _readonly,
+    _require_matching_sizes,
+)
 
-#: Default ceiling on enumerable environment sizes (2^24 = 16.7M walks).
+#: Ceiling on enumerable environment sizes (2^24 = 16.7M walks).
 ENUMERATION_CAP = 24
 
 #: Entries per chunk of a pass over a whole walk array or table: the gap
@@ -104,7 +111,6 @@ class LdosHistogram:
 
     edges: np.ndarray
     masses: np.ndarray
-    spectrum: EnergySpectrum
 
     def __post_init__(self) -> None:
         edges = np.array(self.edges, dtype=np.float64, copy=True)
@@ -125,12 +131,7 @@ class LdosHistogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def enumerate_walks(
-    couplings: CouplingSet,
-    amps: EnvironmentAmplitudes,
-    *,
-    cap: int = ENUMERATION_CAP,
-) -> EnergySpectrum:
+def enumerate_walks(couplings: CouplingSet, amps: EnvironmentAmplitudes) -> EnergySpectrum:
     """Enumerate all 2^N weighted sign assignments of the couplings.
 
     Entry m corresponds to bitmask m over the spins; bit k set means spin
@@ -145,9 +146,9 @@ def enumerate_walks(
     """
     _require_matching_sizes(couplings.n, amps.n, "couplings vs amplitudes")
     n = couplings.n
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise CapacityError(
-            f"enumerating {n} spins needs 2^{n} = {2 ** n} walks; cap is {cap} "
+            f"enumerating {n} spins needs 2^{n} = {2 ** n} walks; cap is {ENUMERATION_CAP} "
             "(use the product formula or sampling above the cap)"
         )
     size = 1 << n
@@ -271,7 +272,7 @@ def _held(w: np.ndarray) -> np.ndarray:
 
 def _checked_bins(bins: int) -> int:
     """bins as an int; CapacityError above the longest table the walk cap allows."""
-    bins = int(bins)
+    bins = _checked_int(bins, "bins")
     if bins < 1:
         raise ValidationError("histogram needs at least one bin")
     if bins > 1 << ENUMERATION_CAP:
@@ -333,7 +334,7 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
         # Walk order, or bins too many to search: np.histogram computes
         # each entry's bin.
         masses, edges = np.histogram(e, bins=bins, range=(lo, hi), weights=spectrum.weights)
-    return LdosHistogram(edges=edges, masses=masses, spectrum=spectrum)
+    return LdosHistogram(edges=edges, masses=masses)
 
 
 #: Entries per block of ``np.histogram``'s uniform-bin loop (its internal

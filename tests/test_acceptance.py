@@ -109,8 +109,8 @@ def test_criterion_6_lorentzian_exponential_decay():
         seed=1,
     )
     grid = sb.TimeGrid(0.0, 3.0, 301)
-    result = sb.ensemble_average_trace(spec, grid, keep_realizations=True)
-    members = np.array([tr.values.real for tr in result.realizations])
+    result = sb.ensemble_average_trace(spec, grid)
+    members = result.values.real
     mean = result.mean.values.real
     stderr = members.std(axis=0, ddof=1) / math.sqrt(m)
     oracle = np.exp(-n * gamma * grid.samples)

@@ -1,5 +1,6 @@
 """Tests for config parsing and override merging."""
 
+import numpy as np
 import pytest
 
 import spinbath as sb
@@ -107,6 +108,22 @@ def test_bounds_checked():
         build_config({}, {"experiment": "trace", "n": 0})
     with pytest.raises(ConfigError, match="format"):
         RunConfig(experiment="trace", format="xml")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 3.9), ("steps", 4.5), ("seed", 2.9), ("realizations", 1.5), ("samples", 100.5), ("bins", 7.5), ("n", True)],
+)
+def test_non_integer_counts_rejected(field, value):
+    # int() would store 3, 4, 2, 1, 100, 7 and 1.
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        RunConfig(experiment="trace", **{field: value})
+
+
+def test_numpy_and_whole_float_counts_accepted():
+    cfg = RunConfig(experiment="ldos", n=np.int64(5), steps=7.0, seed=np.uint64(3), bins=np.int32(9))
+    assert (cfg.n, cfg.steps, cfg.seed, cfg.bins) == (5, 7, 3, 9)
+    assert all(type(v) is int for v in (cfg.n, cfg.steps, cfg.seed, cfg.bins))
 
 
 def test_bad_grid_surfaces_as_config_error():

@@ -21,10 +21,6 @@ def equal_ensemble(dist, n, m, seed):
     )
 
 
-def real_parts(result):
-    return np.array([tr.values.real for tr in result.realizations])
-
-
 class TestCouplingDistribution:
     def test_validation(self):
         with pytest.raises(sb.ValidationError):
@@ -127,8 +123,52 @@ class TestEnsembleAverage:
     def test_single_realization_is_identity(self):
         spec = equal_ensemble(sb.CouplingDistribution.gaussian(0.0, 1.0), 6, 1, seed=3)
         grid = sb.TimeGrid(0.0, 2.0, 21)
-        result = sb.ensemble_average_trace(spec, grid, keep_realizations=True)
-        np.testing.assert_array_equal(result.mean.values, result.realizations[0].values)
+        result = sb.ensemble_average_trace(spec, grid)
+        np.testing.assert_array_equal(result.mean.values, result.values[0])
+
+    def test_values_are_a_readonly_realization_by_step_array(self):
+        spec = equal_ensemble(sb.CouplingDistribution.gaussian(0.0, 1.0), 4, 6, seed=8)
+        result = sb.ensemble_average_trace(spec, sb.TimeGrid(0.0, 2.0, 11))
+        assert result.values.shape == (6, 11)
+        assert result.values.dtype == np.complex128
+        assert not result.values.flags.writeable
+        with pytest.raises(ValueError):
+            result.values[0, 0] = 0.0
+
+    @pytest.mark.parametrize("amplitudes", ["equal", "random"])
+    def test_rows_are_realization_traces_bit_for_bit(self, amplitudes):
+        spec = sb.EnsembleSpec(
+            distribution=sb.CouplingDistribution.lorentzian(0.0, 0.5),
+            amplitudes=sb.AmplitudeRule.parse(amplitudes),
+            n=7,
+            realizations=9,
+            seed=31,
+        )
+        grid = sb.TimeGrid(0.0, 4.0, 17)
+        result = sb.ensemble_average_trace(spec, grid)
+        for i, row in enumerate(result.values):
+            want = sb.decoherence_trace(*sb.realization_model(spec, i), grid).values
+            np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_mean_is_the_zeros_start_row_sum(self, steps):
+        # On a one-sample grid numpy's axis-0 mean sums pairwise and gives
+        # other bits than the realization-order sum.
+        spec = sb.EnsembleSpec(
+            distribution=sb.CouplingDistribution.lorentzian(0.0, 0.25),
+            amplitudes=sb.AmplitudeRule.random(),
+            n=6,
+            realizations=300,
+            seed=5,
+        )
+        grid = sb.TimeGrid(0.7, 0.7 + steps - 1, steps)
+        result = sb.ensemble_average_trace(spec, grid)
+        acc = np.zeros(steps, dtype=np.complex128)
+        for row in result.values:
+            acc += row
+        want = acc / spec.realizations
+        np.testing.assert_array_equal(result.mean.values.view(np.int64), want.view(np.int64))
+        assert result.mean.times is grid.samples
 
     def test_realization_zero_matches_direct_sampling(self):
         spec = equal_ensemble(sb.CouplingDistribution.gaussian(0.0, 1.0), 5, 3, seed=17)
@@ -145,10 +185,9 @@ class TestEnsembleAverage:
             seed=2,
         )
         grid = sb.TimeGrid(0.0, 5.0, 33)
-        result = sb.ensemble_average_trace(spec, grid, keep_realizations=True)
-        for trace in result.realizations:
-            assert trace.values[0] == 1.0 + 0.0j
-            assert np.all(np.abs(trace.values) <= 1.0 + 1e-12)
+        result = sb.ensemble_average_trace(spec, grid)
+        assert np.all(result.values[:, 0] == 1.0 + 0.0j)
+        assert np.all(np.abs(result.values) <= 1.0 + 1e-12)
 
     def test_gaussian_ensemble_mean_matches_per_spin_expectation(self):
         # E[cos(g t)] = exp(-sigma^2 t^2 / 2) per spin, so the mean trace
@@ -156,9 +195,9 @@ class TestEnsembleAverage:
         n, m, sigma = 4, 500, 0.8
         ts = np.linspace(0.0, 1.2, 25)
         spec = equal_ensemble(sb.CouplingDistribution.gaussian(0.0, sigma), n, m, seed=7)
-        result = sb.ensemble_average_trace(spec, sb.TimeGrid(0.0, 1.2, 25), keep_realizations=True)
+        result = sb.ensemble_average_trace(spec, sb.TimeGrid(0.0, 1.2, 25))
         oracle = np.exp(-n * sigma**2 * ts**2 / 2.0)
-        spread = real_parts(result).std(axis=0, ddof=1) / math.sqrt(m)
+        spread = result.values.real.std(axis=0, ddof=1) / math.sqrt(m)
         gap = np.abs(result.mean.values.real - oracle)
         assert np.all(gap <= 3.0 * spread + 1e-12)
 
@@ -175,9 +214,9 @@ class TestEnsembleAverage:
         n, m, gamma = 12, 400, 0.3
         ts = np.linspace(0.0, 0.5, 40)
         spec = equal_ensemble(sb.CouplingDistribution.lorentzian(0.0, gamma), n, m, seed=13)
-        result = sb.ensemble_average_trace(spec, sb.TimeGrid(0.0, 0.5, 40), keep_realizations=True)
+        result = sb.ensemble_average_trace(spec, sb.TimeGrid(0.0, 0.5, 40))
         oracle = np.exp(-n * gamma * ts)
-        spread = real_parts(result).std(axis=0, ddof=1) / math.sqrt(m)
+        spread = result.values.real.std(axis=0, ddof=1) / math.sqrt(m)
         gap = np.abs(result.mean.values.real - oracle)
         assert np.all(gap <= 3.0 * spread + 1e-12)
         mags = np.abs(result.mean.values)
@@ -194,10 +233,8 @@ class TestEnsembleAverage:
             ("gauss", sb.CouplingDistribution.gaussian(0.0, 1.0)),
             ("lorentz", sb.CouplingDistribution.lorentzian(0.0, gamma)),
         ):
-            result = sb.ensemble_average_trace(
-                equal_ensemble(dist, n, m, seed=21), grid, keep_realizations=True
-            )
-            finals = np.abs(np.array([tr.values[1] for tr in result.realizations]))
+            result = sb.ensemble_average_trace(equal_ensemble(dist, n, m, seed=21), grid)
+            finals = np.abs(result.values[:, 1])
             spreads[name] = finals.var(ddof=1)
         assert spreads["lorentz"] >= 3.0 * spreads["gauss"]
 
@@ -211,6 +248,20 @@ class TestEnsembleAverage:
         level = math.sqrt(float(np.mean(np.abs(trace.values) ** 2)))
         floor = 2.0 ** (-n / 2)
         assert 0.1 * floor < level < 10.0 * floor
+
+    @pytest.mark.parametrize(
+        "field, value", [("n", 3.9), ("realizations", 2.7), ("seed", 1.5), ("n", True)]
+    )
+    def test_spec_rejects_non_integers(self, field, value):
+        # int() would store 3, 2, 1 and 1.
+        kwargs = {"n": 3, "realizations": 2, "seed": 1, field: value}
+        with pytest.raises(sb.ValidationError, match=f"{field} must be an integer"):
+            sb.EnsembleSpec(sb.CouplingDistribution.fixed(1.0), sb.AmplitudeRule.equal(), **kwargs)
+
+    def test_spec_takes_numpy_integers(self):
+        spec = equal_ensemble(sb.CouplingDistribution.fixed(1.0), np.int64(3), np.int32(2), np.uint64(7))
+        assert (spec.n, spec.realizations, spec.seed) == (3, 2, 7)
+        assert all(type(v) is int for v in (spec.n, spec.realizations, spec.seed))
 
     def test_spec_validation(self):
         with pytest.raises(sb.ValidationError):

@@ -147,6 +147,10 @@ class TestLaplaceDeMoivre:
             with pytest.raises(sb.DegenerateDistributionError):
                 sb.laplace_demoivre_weight(10, 5, w)
 
+    def test_non_integer_level_rejected(self):
+        with pytest.raises(sb.ValidationError, match="integer"):
+            sb.laplace_demoivre_weight(10, 4.5, 0.5)
+
     def test_level_bounds(self):
         with pytest.raises(sb.ValidationError):
             sb.laplace_demoivre_weight(10, 11, 0.5)
@@ -277,6 +281,14 @@ class TestEmpiricalTimeAverage:
         c = sb.CouplingSet([1.0, 2.3])
         a = exact_half_amplitudes(2)
         with pytest.raises(sb.ValidationError):
+            sb.check_time_average(c, a, horizon=200.0, samples=samples, blocks=blocks)
+
+    @pytest.mark.parametrize("samples, blocks", [(100.5, 8), (512, 8.5), (True, 8)])
+    def test_check_rejects_non_integer_counts(self, samples, blocks):
+        # np.arange(100.5) would average 101 samples and report 100.
+        c = sb.CouplingSet([1.0, 2.3])
+        a = exact_half_amplitudes(2)
+        with pytest.raises(sb.ValidationError, match="must be an integer"):
             sb.check_time_average(c, a, horizon=200.0, samples=samples, blocks=blocks)
 
     def test_check_reports_fields(self):

@@ -52,6 +52,17 @@ class TestTypes:
         with pytest.raises(sb.ValidationError):
             sb.TimeGrid(1.0, 1.0, 2)
 
+    @pytest.mark.parametrize("steps", [2.5, True, float("inf")])
+    def test_time_grid_rejects_non_integer_steps(self, steps):
+        # int() would give 2.5 two samples and True one.
+        with pytest.raises(sb.ValidationError, match="integer"):
+            sb.TimeGrid(0.0, 1.0, steps)
+
+    @pytest.mark.parametrize("steps", [np.int64(3), np.uint8(3), 3.0])
+    def test_time_grid_takes_whole_numbers(self, steps):
+        grid = sb.TimeGrid(0.0, 1.0, steps)
+        assert grid.steps == 3 and type(grid.steps) is int
+
     def test_trace_invariants(self):
         with pytest.raises(sb.ValidationError):
             sb.DecoherenceTrace(times=[0.0, 1.0], values=[1.0, 1.5], n_spins=1)

@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -106,8 +107,9 @@ class TestEnumerateWalks:
         a = sb.EnvironmentAmplitudes.equal_superposition(25)
         with pytest.raises(sb.CapacityError, match="2\\^25"):
             sb.enumerate_walks(c, a)
-        # The cap is adjustable.
-        assert len(sb.enumerate_walks(c, a, cap=25)) == 2**25
+        h = sb.DiagonalBranchHamiltonian.from_couplings(c)
+        with pytest.raises(sb.CapacityError, match="2\\^25"):
+            sb.branch_spectrum(h, a)
 
     def test_weights_sum_to_one(self):
         c, a = random_model(np.random.default_rng(3), 12)
@@ -371,14 +373,28 @@ class TestLdos:
         ids=["nan-mass", "nan-edge", "inf-edge"],
     )
     def test_non_finite_histogram_rejected(self, edges, masses):
-        spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)
         with pytest.raises(sb.ValidationError, match="finite"):
-            sb.LdosHistogram(edges=edges, masses=masses, spectrum=spec)
+            sb.LdosHistogram(edges=edges, masses=masses)
 
     def test_invalid_bins(self):
         spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)
         with pytest.raises(sb.ValidationError):
             sb.ldos(spec, bins=0)
+
+    @pytest.mark.parametrize("bins", [2.5, True, float("nan")])
+    def test_non_integer_bins_rejected(self, bins):
+        spec = sb.EnergySpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=1)
+        with pytest.raises(sb.ValidationError, match="integer"):
+            sb.ldos(spec, bins=bins)
+
+    def test_histogram_does_not_keep_its_spectrum_alive(self):
+        c, a = random_model(np.random.default_rng(5), 10)
+        spec = sb.enumerate_walks(c, a)
+        alive = weakref.ref(spec)
+        hist = sb.ldos(spec)
+        del spec
+        assert alive() is None
+        assert hist.masses.size == 32
 
     def test_bins_above_cap_raise_capacity_error(self):
         spec = sb.EnergySpectrum(energies=[0.0], weights=[1.0], n_spins=1)

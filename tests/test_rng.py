@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spinbath as sb
-from spinbath.rng import cauchy, rekeyed_generator, standard_normal
+from spinbath.rng import _stream_state, cauchy, rekeyed_generator, standard_normal
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,6 +72,16 @@ def test_cauchy_median_and_heavy_tail():
 def test_cauchy_center_shift():
     shifted = cauchy(rekeyed_generator(3, 0), 10**4, center=5.0, width=1.0)
     assert abs(np.median(shifted) - 5.0) < 4.0 / np.sqrt(10**4)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_stream_generator_keys_masked_seed_and_stream(seed):
+    for stream in _STREAMS:
+        state = _stream_state(seed, stream)
+        assert state["state"]["key"].tolist() == [seed & _MASK64, stream & _MASK64]
+        bitgen = np.random.Philox(0)
+        bitgen.state = state
+        assert _words(np.random.Generator(bitgen)) == _words(_philox(seed, stream))
 
 
 @pytest.mark.parametrize("seed", _SEEDS)

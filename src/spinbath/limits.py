@@ -227,7 +227,9 @@ def check_time_average(
 
     The standard error comes from batch means (``blocks`` contiguous
     blocks), which stays honest when nearby time samples are correlated.
-    Batch means need at least two samples and two blocks.
+    Batch means need at least two samples and two blocks.  Equal batch
+    means (a horizon too short to dephase) that miss the closed form raise
+    ``ValidationError``, since their gap has no standard error.
     """
     samples, blocks = _checked_int(samples, "samples"), _checked_int(blocks, "blocks")
     if samples < 2 or blocks < 2:
@@ -239,7 +241,13 @@ def check_time_average(
     block_means = np.array([b.mean() for b in np.array_split(sq, blocks)])
     stderr = float(block_means.std(ddof=1) / math.sqrt(blocks))
     gap = abs(empirical - analytic)
-    n_sigma = 0.0 if gap == 0.0 else float(gap / stderr) if stderr > 0.0 else float("inf")
+    if gap > 0.0 and stderr == 0.0:
+        raise ValidationError(
+            f"all {blocks} batch means of |r|^2 are equal, and their mean {empirical!r} "
+            f"is not the closed form {analytic!r}: r(t) does not dephase within "
+            f"horizon {horizon!r}, so the gap has no standard error"
+        )
+    n_sigma = 0.0 if gap == 0.0 else gap / stderr
     return TimeAverageCheck(
         analytic=analytic,
         empirical=empirical,

@@ -59,7 +59,9 @@ def _write_hashed(path: Path, blocks: Iterable[str]) -> str:
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> str:
-    return _write_hashed(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
+    # Strict JSON: a NaN or infinity raises ValueError before path is opened.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    return _write_hashed(path, [text, "\n"])
 
 
 def _json_repr(value: float) -> str:
@@ -242,12 +244,13 @@ def _run_trace(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     couplings, amps = _model(cfg)
     trace = decoherence_trace(couplings, amps, cfg.time_grid())
     art.table("trace", "trace", _r_columns(trace.times, trace.values))
-    summary = summarize(couplings, amps)
-    info: dict[str, Any] = {
-        "mean_energy": summary.mean,
-        "energy_variance": summary.variance,
-    }
-    if summary.variance > 0.0:
+    # Couplings near the float limit overflow g^2; statistics that are
+    # not finite, and the window derived from them, are left out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = summarize(couplings, amps)
+    stats = {"mean_energy": summary.mean, "energy_variance": summary.variance}
+    info: dict[str, Any] = {name: v for name, v in stats.items() if math.isfinite(v)}
+    if 0.0 < summary.variance < math.inf:
         info["gaussian_window"] = gaussian_validity_window(summary)
     return info
 

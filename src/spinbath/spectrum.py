@@ -310,7 +310,9 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
     around it.  More than 2^ENUMERATION_CAP bins raise CapacityError; bins
     too fine for the energy range to give distinct edges raise
     ValidationError.  The masses are those of ``np.histogram``, bit for
-    bit.
+    bit: a merged spectrum's come from where each bin starts among its
+    increasing energies, found by one ``np.searchsorted`` of numpy's
+    edges, unless the bin width is subnormal; the rest are numpy's own.
     """
     if bins is None:
         bins = math.ceil(math.sqrt(len(spectrum)))
@@ -328,11 +330,11 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
             f"{bins} bins cannot split the energy range [{lo!r}, {hi!r}] "
             "into bins with distinct finite edges"
         )
-    if spectrum.merged and _SEARCH_COST * bins * e.size.bit_length() <= e.size:
-        masses = _sorted_masses(e, spectrum.weights, edges, first, last)
+    if spectrum.merged and (last - first) / bins >= np.finfo(np.float64).smallest_normal:
+        masses = _sorted_masses(e, spectrum.weights, edges)
     else:
-        # Walk order, or bins too many to search: np.histogram computes
-        # each entry's bin.
+        # Walk order, or a subnormal bin width (see _sorted_masses):
+        # np.histogram computes each entry's bin.
         masses, edges = np.histogram(e, bins=bins, range=(lo, hi), weights=spectrum.weights)
     return LdosHistogram(edges=edges, masses=masses)
 
@@ -342,42 +344,26 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
 #: block order, so the same blocks give the same bits.
 _HIST_BLOCK = 1 << 16
 
-#: Finding bin starts takes about bins * log2(entries) bin evaluations,
-#: each costing about 4 of np.histogram's per-entry ones (measured at
-#: 2^16 and 2^20 levels); beyond that np.histogram is faster.
-_SEARCH_COST = 4
 
-
-def _sorted_masses(
-    e: np.ndarray, w: np.ndarray, edges: np.ndarray, first: float, last: float
-) -> np.ndarray:
+def _sorted_masses(e: np.ndarray, w: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """np.histogram's masses of increasing energies e, found from where
     each bin starts rather than from every entry's bin."""
-    # np.histogram's bin of x is its estimate raw(x), clipped to the last
-    # bin, then moved one step towards the bin whose edges bracket x:
-    # raw - clamp(raw - bracket, -1, 1) = clamp(bracket, raw - 1, raw + 1).
-    # Both raw (a chain of rounded monotone operations, then truncation)
-    # and bracket are nondecreasing in x, and a clamp is nondecreasing in
-    # all three arguments, so numpy's bin is nondecreasing along e too.
-    # The entries below bin b are then a prefix of e, whose length
-    # starts[b] a bisection finds, whatever the estimate's error.
+    # np.histogram puts x in its estimate, (x - first) / (last - first)
+    # * bins truncated, moved at most one bin towards the bin whose edges
+    # bracket x.  The estimate misses x's exact position by a few ulps of
+    # bins, far below one bin.  With a normal step, each linspace edge
+    # first + i * step misses its exact value by half an ulp of the edge
+    # plus a few ulps of i steps, under one bin since the edges are
+    # distinct.  So the bracketing bin is within one of the estimate,
+    # numpy's correction reaches it, and the entries below edge b are the
+    # first searchsorted(e, edges[b]).  A subnormal step is rounded to a
+    # multiple of the smallest subnormal, i * step can then miss by many
+    # bins (np.linspace(-7.777e-321, 8.8e-322, 767) does), and ldos sends
+    # such widths to np.histogram.
     bins = edges.size - 1
     n = e.size
-    target = np.arange(bins + 1)
-    starts = np.zeros(bins + 1, dtype=np.intp)
-    step = 1 << (n.bit_length() - 1)
-    while step:
-        probe = starts + step
-        below = probe <= n
-        x = e[np.minimum(probe, n) - 1]
-        # numpy's uniform-bin index, step by step as np.histogram takes it.
-        idx = ((x - first) / (last - first) * bins).astype(np.intp)
-        np.minimum(idx, bins - 1, out=idx)
-        idx -= x < edges[idx]
-        idx += (x >= edges[idx + 1]) & (idx != bins - 1)
-        below &= idx < target
-        starts += below * step
-        step >>= 1
+    starts = np.searchsorted(e, edges)  # starts[0] is 0: e[0] >= first
+    starts[-1] = n  # the last bin holds its right edge
     # Bins that hold entries, and the entry each starts at.
     filled = np.flatnonzero(np.diff(starts))
     first_entry = starts[filled]

@@ -108,6 +108,36 @@ def branch_overlap(couplings, amps, t: float) -> complex:
     return complex(np.prod(np.sum(np.conj(bra) * ket, axis=1)))
 
 
+def coupling_characteristic(dist: sb.CouplingDistribution, t) -> np.ndarray:
+    """phi(t) = E exp(i g t) of one coupling drawn from dist."""
+    t = np.asarray(t, dtype=float)
+    if dist.kind == "fixed":
+        return np.exp(1j * dist.params[0] * t)
+    if dist.kind == "gaussian":
+        mu, sigma = dist.params
+        return np.exp(1j * mu * t - 0.5 * (sigma * t) ** 2)
+    if dist.kind == "lorentzian":
+        center, gamma = dist.params
+        return np.exp(1j * center * t - gamma * np.abs(t))
+    lo, hi = dist.params
+    safe = np.where(t == 0.0, 1.0, t)
+    phi = (np.exp(1j * hi * safe) - np.exp(1j * lo * safe)) / (1j * safe * (hi - lo))
+    return np.where(t == 0.0, 1.0 + 0.0j, phi)
+
+
+def closed_form_ensemble_mean(
+    dist: sb.CouplingDistribution, rule: sb.AmplitudeRule, n: int, t
+) -> np.ndarray:
+    """Exact ensemble mean E r(t) = (w phi(t) + (1 - w) phi(-t))^N.
+
+    Couplings are i.i.d. with characteristic function phi and independent
+    of the amplitudes, whose mean |alpha|^2 is w: the up weight for
+    ``fixed``, 1/2 for ``equal`` and for ``random`` (uniform on [0, 1]).
+    """
+    w = rule.up_weight if rule.kind == "fixed" else 0.5
+    return (w * coupling_characteristic(dist, t) + (1.0 - w) * coupling_characteristic(dist, -t)) ** n
+
+
 @st.composite
 def models(draw, min_n: int = 1, max_n: int = 7, max_g: float = 5.0):
     """Random valid (CouplingSet, EnvironmentAmplitudes) pairs."""

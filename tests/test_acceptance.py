@@ -12,7 +12,7 @@ import numpy as np
 import spinbath as sb
 from spinbath.config import RunConfig
 from spinbath.runner import run as run_experiment
-from helpers import make_amplitudes, random_model
+from helpers import closed_form_ensemble_mean, make_amplitudes, random_model
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -113,7 +113,7 @@ def test_criterion_6_lorentzian_exponential_decay():
     members = result.values.real
     mean = result.mean.values.real
     stderr = members.std(axis=0, ddof=1) / math.sqrt(m)
-    oracle = np.exp(-n * gamma * grid.samples)
+    oracle = closed_form_ensemble_mean(spec.distribution, spec.amplitudes, n, grid.samples).real
     floor = 2.0 ** (-n / 2)
     window = oracle > 10.0 * floor
     violations = int(np.sum(np.abs(mean[window] - oracle[window]) > 3.0 * stderr[window]))

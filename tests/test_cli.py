@@ -214,6 +214,39 @@ def test_zero_coupling_average_check_exit_code(tmp_path, capsys):
     assert not (out / "average_check.json").exists()
 
 
+def test_undephased_average_check_exit_code(tmp_path, capsys):
+    # Over a 1e-9 horizon |r|^2 stays near 1, every batch mean is equal and
+    # the report would hold "stderr": 0.0 and "n_sigma": Infinity.
+    out = tmp_path / "short"
+    code = main(
+        ["check-average", "--n", "2", "--couplings", "uniform(1, 2)", "--horizon", "1e-9",
+         "--out-dir", str(out)]
+    )
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "average_check.json").exists()
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_overflowing_trace_statistics_left_out_of_manifest(tmp_path):
+    # g = 1e200 overflows g^2: the manifest would hold "energy_variance":
+    # Infinity and a window of 0.0 derived from it.  Warnings are errors
+    # in this suite, so the overflow must not warn either.
+    out = tmp_path / "huge"
+    code = main(
+        ["trace", "--n", "3", "--couplings", "fixed(1e200)", "--format", "json",
+         "--out-dir", str(out), "--quiet"]
+    )
+    assert code == 0
+    for path in sorted(out.glob("*.json")):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["details"] == {"mean_energy": 0.0}
+
+
 def test_figure_subcommand(tmp_path):
     code = main(
         ["figure", "--which", "fig1", "--n", "4", "--out-dir", str(tmp_path / "f"), "--quiet"]

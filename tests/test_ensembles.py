@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spinbath as sb
+from helpers import closed_form_ensemble_mean
 
 
 def r_squared(x: np.ndarray, y: np.ndarray) -> float:
@@ -222,6 +223,26 @@ class TestEnsembleAverage:
         mags = np.abs(result.mean.values)
         window = mags > 10.0 * 2.0 ** (-n / 2)
         assert r_squared(ts[window], np.log(mags[window])) > 0.98
+
+    @pytest.mark.parametrize("rule", ["equal", "fixed(0.8)", "random"])
+    @pytest.mark.parametrize(
+        "dist", ["fixed(0.7)", "gaussian(0.3, 0.5)", "lorentzian(0.4, 0.2)", "uniform(0.5, 2)"]
+    )
+    def test_sampled_mean_matches_closed_form(self, dist, rule):
+        # A wrong scale, center or weight in a sampler moves the mean by
+        # many standard errors.  Identical realizations (fixed couplings,
+        # equal or fixed amplitudes) have a standard error of about 0, so
+        # it is floored at 1e-12 for the rounding of the two forms.
+        n, m = 6, 1000
+        dist, rule = sb.CouplingDistribution.parse(dist), sb.AmplitudeRule.parse(rule)
+        grid = sb.TimeGrid(0.0, 3.0, 31)
+        oracle = closed_form_ensemble_mean(dist, rule, n, grid.samples)
+        for seed in (3, 4):
+            spec = sb.EnsembleSpec(dist, rule, n, m, seed)
+            result = sb.ensemble_average_trace(spec, grid)
+            stderr = result.values.std(axis=0, ddof=1) / math.sqrt(m)
+            gap = np.abs(result.mean.values - oracle)
+            assert np.all(gap <= 5.0 * np.maximum(stderr, 1e-12))
 
     def test_lorentzian_realizations_disperse_more_than_gaussian(self):
         # Matched half-width: Cauchy gamma equals the Gaussian HWHM.

@@ -283,6 +283,14 @@ class TestEmpiricalTimeAverage:
         with pytest.raises(sb.ValidationError):
             sb.check_time_average(c, a, horizon=200.0, samples=samples, blocks=blocks)
 
+    def test_check_rejects_equal_batch_means_off_the_closed_form(self):
+        # Over a 1e-9 horizon |r|^2 stays near 1, against a closed form of
+        # 1/4: the gap would be infinitely many standard errors of 0.
+        c = sb.CouplingSet([1.0, 2.3])
+        a = exact_half_amplitudes(2)
+        with pytest.raises(sb.ValidationError, match="does not dephase"):
+            sb.check_time_average(c, a, horizon=1e-9, samples=512)
+
     @pytest.mark.parametrize("samples, blocks", [(100.5, 8), (512, 8.5), (True, 8)])
     def test_check_rejects_non_integer_counts(self, samples, blocks):
         # np.arange(100.5) would average 101 samples and report 100.

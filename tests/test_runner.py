@@ -297,6 +297,15 @@ def test_average_check_report(tmp_path):
     check_manifest(tmp_path)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_non_finite_before_opening(tmp_path, value):
+    # Manifests and reports are strict JSON, which has no NaN or Infinity.
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        runner._write_json(path, {"details": {"values": [1.0, value]}})
+    assert not path.exists()
+
+
 def test_json_format_artifacts(tmp_path):
     cfg = RunConfig(
         experiment="trace", n=3, seed=1, steps=5, format="json", out_dir=tmp_path, quiet=True

@@ -465,10 +465,9 @@ def merged_n18(rule: str) -> sb.EnergySpectrum:
     return sb.merge_degenerate(sb.enumerate_walks(c, a), sb.default_merge_epsilon(c))
 
 
-def assert_ldos_is_numpy_histogram(spec, bins, monkeypatch) -> None:
+def assert_ldos_is_numpy_histogram(spec, bins) -> None:
     """ldos gives np.histogram's edges and masses bit for bit, or, where
-    numpy raises, raises ValidationError; for a merged spectrum, also
-    when it finds bin starts for any number of bins."""
+    numpy raises, raises ValidationError."""
     e = spec.energies
     count = math.ceil(math.sqrt(len(spec))) if bins is None else bins
     try:
@@ -476,30 +475,76 @@ def assert_ldos_is_numpy_histogram(spec, bins, monkeypatch) -> None:
             e, count, range=(float(e.min()), float(e.max())), weights=spec.weights
         )
     except ValueError:
-        masses = edges = None
-    for search_cost in (spectrum_module._SEARCH_COST, 0):
-        monkeypatch.setattr(spectrum_module, "_SEARCH_COST", search_cost)
-        if masses is None:
-            with pytest.raises(sb.ValidationError, match="cannot split the energy range"):
-                sb.ldos(spec, bins)
-            continue
-        hist = sb.ldos(spec, bins)
-        assert hist.edges.tobytes() == edges.tobytes()
-        assert hist.masses.tobytes() == masses.tobytes()
+        with pytest.raises(sb.ValidationError, match="cannot split the energy range"):
+            sb.ldos(spec, bins)
+        return
+    hist = sb.ldos(spec, bins)
+    assert hist.edges.tobytes() == edges.tobytes()
+    assert hist.masses.tobytes() == masses.tobytes()
+
+
+@st.composite
+def edge_spectra(draw):
+    """A merged spectrum whose levels lie on and next to numpy's edges for
+    its bin count, which is 1 to about 3 times the level count, with the
+    range normal (across a binade, offset by +-1e16, straddling zero) or
+    subnormal."""
+    kind = draw(st.sampled_from(["binade", "offset", "zero", "subnormal"]))
+    if kind == "binade":
+        scale = 2.0 ** draw(st.integers(-40, 40))
+        lo, hi = scale * draw(st.floats(0.25, 0.99)), scale * draw(st.floats(1.01, 4.0))
+    elif kind == "offset":
+        lo = draw(st.sampled_from([1e16, -1e16 - 8000.0]))
+        hi = lo + 2.0 * draw(st.integers(1, 4000))
+    elif kind == "zero":
+        lo, hi = -draw(st.floats(1e-300, 1e300)), draw(st.floats(1e-300, 1e300))
+    else:
+        ends = draw(st.lists(st.integers(-3000, 3000), min_size=2, max_size=2, unique=True))
+        lo, hi = sorted(k * 5e-324 for k in ends)
+    bins = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = np.linspace(lo, hi, bins + 1)
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    near = np.unique(np.clip(near, lo, hi))
+    keep = rng.random(near.size) < draw(st.floats(1 / 9, 1.0))
+    e = np.unique(np.concatenate([[lo, hi], near[keep]]))
+    w = rng.random(e.size) + 1e-3
+    return sb.EnergySpectrum(energies=e, weights=w / w.sum(), n_spins=1, merged=True), bins
 
 
 class TestMergedLdos:
-    """Merged spectra with few enough bins take their masses from bin
-    starts, not np.histogram."""
+    """Merged spectra take their masses from bin starts, not np.histogram,
+    unless numpy's bin width is subnormal."""
 
     @pytest.mark.parametrize(
         "bins", [1, 257, None, 2**18 + 5], ids=["1", "257", "default", "above-entries"]
     )
     @pytest.mark.parametrize("rule", ["random", "equal", "fixed(0.3)"])
-    def test_bit_identical_to_numpy_histogram(self, rule, bins, monkeypatch):
+    def test_bit_identical_to_numpy_histogram(self, rule, bins):
         spec = merged_n18(rule)
         assert spec.merged and len(spec) > 3 * 2**16
-        assert_ldos_is_numpy_histogram(spec, bins, monkeypatch)
+        assert_ldos_is_numpy_histogram(spec, bins)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=edge_spectra())
+    def test_levels_at_edges_bit_identical_to_numpy_histogram(self, case):
+        assert_ldos_is_numpy_histogram(*case)
+
+    def test_subnormal_width_takes_np_histogram(self):
+        # Rounding i * step to multiples of the smallest subnormal moves
+        # these edges by many bins, so numpy's bin is not always the one
+        # between the edges: bin starts from the edges give other masses.
+        edges = np.linspace(-7.777e-321, 8.8e-322, 767)
+        assert (edges[-1] - edges[0]) / 766 < np.finfo(np.float64).smallest_normal
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        e = np.unique(np.clip(near, edges[0], edges[-1]))
+        spec = sb.EnergySpectrum(
+            energies=e, weights=np.full(e.size, 1.0 / e.size), n_spins=10, merged=True
+        )
+        assert_ldos_is_numpy_histogram(spec, 766)
+        masses, _ = np.histogram(e, 766, range=(e[0], e[-1]), weights=spec.weights)
+        from_edges = spectrum_module._sorted_masses(e, spec.weights, edges)
+        assert from_edges.tobytes() != masses.tobytes()
 
     def test_peak_memory_below_numpy(self):
         # One block's bin ids and the per-bin arrays, against the
@@ -517,16 +562,16 @@ class TestMergedLdos:
             raise AssertionError("np.histogram was called")
 
         monkeypatch.setattr(np, "histogram", no_histogram)
-        sb.ldos(merged_n18("random"))
-        sb.ldos(merged_n18("random"), bins=2000)
+        for bins in (None, 2000, 2**18 + 5):
+            sb.ldos(merged_n18("random"), bins)
 
     @pytest.mark.parametrize("bins", [1, 2, 3, 1000])
-    def test_one_level(self, bins, monkeypatch):
+    def test_one_level(self, bins):
         spec = sb.EnergySpectrum(energies=[2.5], weights=[1.0], n_spins=1, merged=True)
-        assert_ldos_is_numpy_histogram(spec, bins, monkeypatch)
+        assert_ldos_is_numpy_histogram(spec, bins)
 
     @pytest.mark.parametrize("bins", [1, 7, 333, 998, 999, 1000, 1500, 5000])
-    def test_offset_by_1e16(self, bins, monkeypatch):
+    def test_offset_by_1e16(self, bins):
         # Consecutive doubles near 1e16 are 2 apart, so numpy's first
         # estimate and the edges round coarsely, and fine bins have no
         # distinct edges, which numpy rejects.
@@ -535,9 +580,9 @@ class TestMergedLdos:
         spec = sb.EnergySpectrum(
             energies=1e16 + 2.0 * np.arange(1000), weights=w / w.sum(), n_spins=10, merged=True
         )
-        assert_ldos_is_numpy_histogram(spec, bins, monkeypatch)
+        assert_ldos_is_numpy_histogram(spec, bins)
 
-    def test_bin_across_block_boundary(self, monkeypatch):
+    def test_bin_across_block_boundary(self):
         # With 3 bins over 2^17 evenly spaced levels, bin 1 holds levels
         # 43691..87380, across numpy's block boundary at 2^16.  numpy
         # sums each block's part of the bin, then adds the two; the same
@@ -557,7 +602,7 @@ class TestMergedLdos:
         blocks = np.cumsum(w[lo : 1 << 16])[-1] + np.cumsum(w[1 << 16 : hi])[-1]
         assert one_pass != blocks
         assert masses[1] == blocks
-        assert_ldos_is_numpy_histogram(spec, 3, monkeypatch)
+        assert_ldos_is_numpy_histogram(spec, 3)
 
 
 class TestCharacteristicFunction:

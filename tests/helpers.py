@@ -119,10 +119,9 @@ def coupling_characteristic(dist: sb.CouplingDistribution, t) -> np.ndarray:
     if dist.kind == "lorentzian":
         center, gamma = dist.params
         return np.exp(1j * center * t - gamma * np.abs(t))
+    # uniform(lo, hi): (e^{i hi t} - e^{i lo t}) / (i t (hi - lo)).
     lo, hi = dist.params
-    safe = np.where(t == 0.0, 1.0, t)
-    phi = (np.exp(1j * hi * safe) - np.exp(1j * lo * safe)) / (1j * safe * (hi - lo))
-    return np.where(t == 0.0, 1.0 + 0.0j, phi)
+    return np.exp(0.5j * (lo + hi) * t) * np.sinc(0.5 * (hi - lo) * t / np.pi)
 
 
 def closed_form_ensemble_mean(
@@ -135,7 +134,8 @@ def closed_form_ensemble_mean(
     ``fixed``, 1/2 for ``equal`` and for ``random`` (uniform on [0, 1]).
     """
     w = rule.up_weight if rule.kind == "fixed" else 0.5
-    return (w * coupling_characteristic(dist, t) + (1.0 - w) * coupling_characteristic(dist, -t)) ** n
+    phi = coupling_characteristic(dist, t)
+    return (w * phi + (1.0 - w) * coupling_characteristic(dist, -t)) ** n
 
 
 @st.composite

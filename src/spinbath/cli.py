@@ -10,33 +10,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
 
-from .config import ConfigError, FIGURES, build_config, load_config
+from .config import SETTINGS, ConfigError, build_config, load_config
 from .errors import CapacityError, DimensionMismatchError, ValidationError
 
-#: The one subcommand whose experiment has another name.
-_RENAMED = {"check-average": "average-check"}
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="config file (key = value sections)")
-    parser.add_argument("--seed", type=int, help="root seed")
-    parser.add_argument("--out-dir", dest="out_dir", metavar="DIR", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), help="artifact format")
-    parser.add_argument("--quiet", action="store_const", const=True, help="suppress progress output")
-    parser.add_argument("--n", type=int, help="environment size")
-    parser.add_argument(
-        "--couplings", metavar="DIST",
-        help="coupling distribution, e.g. 'gaussian(0, 1)' or 'fixed(1.0)'",
-    )
-    parser.add_argument(
-        "--amplitudes", metavar="RULE", help="amplitude rule: equal, fixed(W) or random"
-    )
-    parser.add_argument("--realizations", type=int, help="ensemble size M")
-    parser.add_argument("--start", type=float, help="grid start time")
-    parser.add_argument("--stop", type=float, help="grid stop time")
-    parser.add_argument("--steps", type=int, help="grid sample count")
+#: subcommand -> (experiment, help, settings beyond the [run], [model] and
+#: [grid] ones that every subcommand takes)
+_COMMANDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "trace": ("trace", "run a trace experiment", ()),
+    "ensemble": ("ensemble", "run a ensemble experiment", ()),
+    "echo": ("echo", "run a echo experiment", ()),
+    "spectrum": ("spectrum", "run a spectrum experiment", ("merge", "merge_epsilon", "bins")),
+    "ldos": ("ldos", "run a ldos experiment", ("merge", "merge_epsilon", "bins")),
+    "check-average": (
+        "average-check", "compare analytic vs empirical long-time average", ("horizon", "samples")
+    ),
+    "figure": ("figure", "emit data files behind one figure", ("figure", "bins")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,49 +35,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spin-bath dephasing experiments: traces, spectra, ensembles, echoes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("trace", "ensemble", "echo"):
-        p = sub.add_parser(name, help=f"run a {name} experiment")
-        _add_common(p)
-
-    for name in ("spectrum", "ldos"):
-        p = sub.add_parser(name, help=f"run a {name} experiment")
-        _add_common(p)
-        p.add_argument("--merge", action=argparse.BooleanOptionalAction, help="coalesce degenerate energies")
-        p.add_argument("--merge-epsilon", dest="merge_epsilon", type=float, help="degeneracy window")
-        p.add_argument("--bins", type=int, help="histogram bin count")
-
-    p = sub.add_parser("check-average", help="compare analytic vs empirical long-time average")
-    _add_common(p)
-    p.add_argument("--horizon", type=float, help="averaging horizon")
-    p.add_argument("--samples", type=int, help="time samples for the estimator")
-
-    p = sub.add_parser("figure", help="emit data files behind one figure")
-    _add_common(p)
-    p.add_argument("--which", choices=FIGURES, help="figure tag")
-    p.add_argument("--bins", type=int, help="histogram bin count")
+    common = [name for name, s in SETTINGS.items() if s.section in ("run", "model", "grid") and s.help]
+    for command, (experiment, summary, extra) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(experiment=experiment)
+        p.add_argument("--config", metavar="PATH", help="config file (key = value sections)")
+        for name in (*common, *extra):
+            s = SETTINGS[name]
+            p.add_argument(s.flag, dest=name, help=s.help, **(s.keywords or {}))
     return parser
-
-
-def _overrides(args: argparse.Namespace) -> dict[str, Any]:
-    from .ensembles import AmplitudeRule, CouplingDistribution
-
-    out: dict[str, Any] = {"experiment": _RENAMED.get(args.command, args.command)}
-    direct = (
-        "seed", "out_dir", "format", "quiet", "n", "realizations",
-        "start", "stop", "steps", "merge", "merge_epsilon", "bins", "horizon", "samples",
-    )
-    for name in direct:
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name] = value
-    if args.couplings is not None:
-        out["distribution"] = CouplingDistribution.parse(args.couplings)
-    if args.amplitudes is not None:
-        out["amplitudes"] = AmplitudeRule.parse(args.amplitudes)
-    if getattr(args, "which", None) is not None:
-        out["figure"] = args.which
-    return out
 
 
 def _fail(code: str, exc: Exception, status: int) -> int:
@@ -101,8 +57,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         file_values = load_config(args.config) if args.config else {}
-        cfg = build_config(file_values, _overrides(args))
-        return run(cfg)
+        flags = {
+            name: SETTINGS[name].read(value, SETTINGS[name].flag) if isinstance(value, str) else value
+            for name, value in vars(args).items() if name in SETTINGS and value is not None
+        }
+        return run(build_config(file_values, flags))
     except (ConfigError, ValidationError, DimensionMismatchError) as exc:
         return _fail("config", exc, 2)
     except CapacityError as exc:

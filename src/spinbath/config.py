@@ -1,34 +1,32 @@
 """Run configuration: INI-style config files plus CLI overrides.
 
 Config files are plain line-oriented ``key = value`` pairs grouped into
-sections; there are no nested structures.  Flag overrides always beat
-file values.  Example::
+sections; there are no nested structures.  ``SETTINGS`` declares each
+key, its flag and how both are read.  Flag overrides always beat file
+values.  Example::
 
     [run]
     experiment = trace
     seed = 7
     out_dir = runs/demo
-    format = csv
 
     [model]
     n = 24
     couplings = gaussian(0, 1)
-    amplitudes = equal
-    realizations = 1
 
     [grid]
-    start = 0
     stop = 2
     steps = 201
 """
 
 from __future__ import annotations
 
+import argparse
 import configparser
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .ensembles import AmplitudeRule, CouplingDistribution
 from .errors import ValidationError
@@ -106,38 +104,70 @@ class RunConfig:
             raise ConfigError(f"bad time grid: {exc}") from exc
 
 
-# section -> key -> (RunConfig field, converter)
-_SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
-    "run": {
-        "experiment": ("experiment", str),
-        "seed": ("seed", int),
-        "out_dir": ("out_dir", Path),
-        "format": ("format", str),
-        "quiet": ("quiet", None),  # boolean
-    },
-    "model": {
-        "n": ("n", int),
-        "couplings": ("distribution", CouplingDistribution.parse),
-        "amplitudes": ("amplitudes", AmplitudeRule.parse),
-        "realizations": ("realizations", int),
-    },
-    "grid": {
-        "start": ("start", float),
-        "stop": ("stop", float),
-        "steps": ("steps", int),
-    },
-    "spectrum": {
-        "merge": ("merge", None),
-        "merge_epsilon": ("merge_epsilon", float),
-        "bins": ("bins", int),
-    },
-    "average": {
-        "horizon": ("horizon", float),
-        "samples": ("samples", int),
-    },
-    "figure": {
-        "which": ("figure", str),
-    },
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+class Setting(NamedTuple):
+    """Where a RunConfig field is read: a config file key and, with help, a flag."""
+
+    section: str
+    key: str
+    convert: Callable[[str], Any]
+    help: str | None = None
+    keywords: dict[str, Any] | None = None  # add_argument's, beside the help
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    def read(self, text: str, where: str) -> Any:
+        """The value that ``text``, found at ``where``, spells."""
+        try:
+            return self.convert(text)
+        except ValueError as exc:  # ValidationError among them
+            raise ConfigError(f"bad value for {where}: {exc}") from exc
+
+
+#: Every setting, by RunConfig field.  The [run], [model] and [grid] ones have
+#: a flag in every subcommand, save the experiment, which the subcommand names.
+SETTINGS = {
+    "experiment": Setting("run", "experiment", str),
+    "seed": Setting("run", "seed", int, "root seed"),
+    "out_dir": Setting("run", "out_dir", Path, "output directory", {"metavar": "DIR"}),
+    "format": Setting(
+        "run", "format", str, "artifact format", {"metavar": "{" + ",".join(FORMATS) + "}"}
+    ),
+    "quiet": Setting(
+        "run", "quiet", _boolean, "suppress progress output", {"action": "store_const", "const": True}
+    ),
+    "n": Setting("model", "n", int, "environment size"),
+    "distribution": Setting(
+        "model", "couplings", CouplingDistribution.parse,
+        "coupling distribution, e.g. 'gaussian(0, 1)' or 'fixed(1.0)'", {"metavar": "DIST"},
+    ),
+    "amplitudes": Setting(
+        "model", "amplitudes", AmplitudeRule.parse, "amplitude rule: equal, fixed(W) or random",
+        {"metavar": "RULE"},
+    ),
+    "realizations": Setting("model", "realizations", int, "ensemble size M"),
+    "start": Setting("grid", "start", float, "grid start time"),
+    "stop": Setting("grid", "stop", float, "grid stop time"),
+    "steps": Setting("grid", "steps", int, "grid sample count"),
+    "merge": Setting(
+        "spectrum", "merge", _boolean, "coalesce degenerate energies",
+        {"action": argparse.BooleanOptionalAction},
+    ),
+    "merge_epsilon": Setting("spectrum", "merge_epsilon", float, "degeneracy window"),
+    "bins": Setting("spectrum", "bins", int, "histogram bin count"),
+    "horizon": Setting("average", "horizon", float, "averaging horizon"),
+    "samples": Setting("average", "samples", int, "time samples for the estimator"),
+    "figure": Setting(
+        "figure", "which", str, "figure tag", {"metavar": "{" + ",".join(FIGURES) + "}"}
+    ),
 }
 
 
@@ -153,32 +183,23 @@ def load_config(path: str | Path) -> dict[str, Any]:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    names = {(s.section, s.key): name for name, s in SETTINGS.items()}
     values: dict[str, Any] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {s.section for s in SETTINGS.values()}:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in names:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            field_name, convert = _SCHEMA[section][key]
-            try:
-                if convert is None:
-                    values[field_name] = parser.getboolean(section, key)
-                else:
-                    values[field_name] = convert(raw)
-            except (ValueError, ValidationError) as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+            name = names[section, key]
+            values[name] = SETTINGS[name].read(raw, f"[{section}] {key}")
     return values
 
 
-def build_config(
-    file_values: dict[str, Any], overrides: dict[str, Any]
-) -> RunConfig:
+def build_config(file_values: dict[str, Any], overrides: dict[str, Any]) -> RunConfig:
     """Merge file values with overrides (overrides win) into a RunConfig."""
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(merged) - known
+    merged = {**file_values, **{k: v for k, v in overrides.items() if v is not None}}
+    unknown = set(merged) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if "experiment" not in merged:

@@ -176,6 +176,8 @@ def sample_couplings(
     dist: CouplingDistribution, n: int, seed: int, *, stream: int = 0
 ) -> CouplingSet:
     """Draw N couplings; identical (dist, n, seed, stream) give identical bits."""
+    n, seed = _checked_int(n, "n"), _checked_int(seed, "seed")
+    stream = _checked_int(stream, "stream")
     if n < 1:
         raise ValidationError("need at least one coupling")
     gen = rekeyed_generator(seed, stream)
@@ -210,6 +212,8 @@ def sample_amplitudes(
     rule: AmplitudeRule, n: int, seed: int, *, stream: int = 1
 ) -> EnvironmentAmplitudes:
     """Build N amplitude pairs under the rule; deterministic in (seed, stream)."""
+    n, seed = _checked_int(n, "n"), _checked_int(seed, "seed")
+    stream = _checked_int(stream, "stream")
     if n < 1:
         raise ValidationError("need at least one amplitude pair")
     if rule.kind != "random":
@@ -244,6 +248,7 @@ def realization_model(
     spec: EnsembleSpec, index: int
 ) -> tuple[CouplingSet, EnvironmentAmplitudes]:
     """Couplings and amplitudes of realization ``index`` of the ensemble."""
+    index = _checked_int(index, "realization index")
     if not 0 <= index < spec.realizations:
         raise ValidationError(f"realization index {index} outside 0..{spec.realizations - 1}")
     couplings = sample_couplings(spec.distribution, spec.n, spec.seed, stream=2 * index)

@@ -129,7 +129,7 @@ def lindeberg_check(
     B_N^2 contributed by step outcomes deviating from their mean by at
     least threshold * B_N.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:  # also rejects NaN
         raise ValidationError("threshold must be positive")
     total = math.sqrt(summary.variance)
     if total == 0.0:

@@ -200,6 +200,8 @@ def _checked_int(value, what: str) -> int:
 
     Python and numpy integers pass, and so do floats holding a whole number.
     """
+    if type(value) is int:
+        return value
     whole = isinstance(value, (float, np.floating)) and value.is_integer()
     if whole or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)

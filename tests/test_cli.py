@@ -1,6 +1,7 @@
 """Tests for the command-line surface: overrides, exit codes, script wiring."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from spinbath import runner
 from spinbath.cli import main
+from spinbath.config import SETTINGS, RunConfig
 
 
 def test_trace_subcommand(tmp_path, capsys):
@@ -267,3 +269,130 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "sp" / "trace.csv").exists()
+
+
+#: A spelling of every setting with a flag, and a subcommand that takes it.
+SAMPLE_TEXT = {
+    "seed": ("trace", "11"),
+    "out_dir": ("trace", "runs/elsewhere"),
+    "format": ("trace", "json"),
+    "n": ("trace", "5"),
+    "distribution": ("trace", "lorentzian(0, 0.25)"),
+    "amplitudes": ("trace", "fixed(0.3)"),
+    "realizations": ("trace", "3"),
+    "start": ("trace", "0.5"),
+    "stop": ("trace", "2.5"),
+    "steps": ("trace", "7"),
+    "merge_epsilon": ("ldos", "1e-9"),
+    "bins": ("spectrum", "12"),
+    "horizon": ("check-average", "40"),
+    "samples": ("check-average", "64"),
+    "figure": ("figure", "fig2"),
+}
+
+#: Boolean settings: the flags that spell each file value.
+SWITCHES = {
+    "quiet": ("trace", {"true": ["--quiet"]}),
+    "merge": ("spectrum", {"true": ["--merge"], "false": ["--no-merge"]}),
+}
+
+
+def _resolved(monkeypatch, argv):
+    """The RunConfig main builds from argv, without running it."""
+    seen = []
+    monkeypatch.setattr(runner, "run", lambda cfg: seen.append(cfg) or 0)
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_every_setting_with_a_flag_has_a_sample():
+    assert set(SAMPLE_TEXT) | set(SWITCHES) == {n for n, s in SETTINGS.items() if s.help}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_TEXT))
+def test_flag_and_file_key_read_text_alike(tmp_path, monkeypatch, name):
+    command, text = SAMPLE_TEXT[name]
+    setting = SETTINGS[name]
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{setting.section}]\n{setting.key} = {text}\n", encoding="utf-8")
+    extra = [] if command != "figure" or name == "figure" else ["--which", "fig1"]
+    from_file = _resolved(monkeypatch, [command, "--config", str(config), *extra])
+    from_flag = _resolved(monkeypatch, [command, setting.flag, text, *extra])
+    assert from_file == from_flag
+    # The sample is not the default, so the setting was read at all.
+    assert getattr(from_flag, name) != RunConfig.__dataclass_fields__[name].default
+
+
+@pytest.mark.parametrize("name", sorted(SWITCHES))
+def test_switch_and_file_key_read_alike(tmp_path, monkeypatch, name):
+    command, spellings = SWITCHES[name]
+    setting = SETTINGS[name]
+    for text, flags in spellings.items():
+        config = tmp_path / f"{text}.ini"
+        config.write_text(f"[{setting.section}]\n{setting.key} = {text}\n", encoding="utf-8")
+        from_file = _resolved(monkeypatch, [command, "--config", str(config)])
+        from_flag = _resolved(monkeypatch, [command, *flags])
+        assert from_file == from_flag
+        assert getattr(from_flag, name) is (text == "true")
+
+
+def test_no_merge_beats_merge_in_config_file(tmp_path, monkeypatch):
+    config = tmp_path / "run.ini"
+    config.write_text("[spectrum]\nmerge = true\n", encoding="utf-8")
+    assert _resolved(monkeypatch, ["ldos", "--config", str(config)]).merge is True
+    assert _resolved(monkeypatch, ["ldos", "--config", str(config), "--no-merge"]).merge is False
+
+
+@pytest.mark.parametrize(
+    "argv, config, where",
+    [
+        (["trace", "--n", "abc"], None, "--n"),
+        (["trace"], "[model]\nn = abc\n", "[model] n"),
+        (["spectrum", "--bins", "2.5"], None, "--bins"),
+        (["check-average", "--horizon", "long"], None, "--horizon"),
+        (["trace", "--couplings", "gaussian(0"], None, "--couplings"),
+        (["trace"], "[run]\nquiet = maybe\n", "[run] quiet"),
+    ],
+    ids=["flag-int", "file-int", "flag-fraction", "flag-float", "flag-distribution", "file-bool"],
+)
+def test_malformed_value_is_a_config_error(tmp_path, capsys, argv, config, where):
+    if config is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(path)]
+    out = tmp_path / "bad"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert f"error[config]: bad value for {where}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["trace", "--format", "xml"], ["figure", "--which", "fig9"]], ids=["format", "which"]
+)
+def test_unknown_choice_is_a_config_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out-dir", str(tmp_path / "bad")]) == 2
+    assert "error[config]" in capsys.readouterr().err
+
+
+COMMON_FLAGS = {
+    "--config", "--seed", "--out-dir", "--format", "--quiet", "--n", "--couplings",
+    "--amplitudes", "--realizations", "--start", "--stop", "--steps",
+}
+EXTRA_FLAGS = {
+    "trace": set(),
+    "ensemble": set(),
+    "echo": set(),
+    "spectrum": {"--merge", "--no-merge", "--merge-epsilon", "--bins"},
+    "ldos": {"--merge", "--no-merge", "--merge-epsilon", "--bins"},
+    "check-average": {"--horizon", "--samples"},
+    "figure": {"--which", "--bins"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXTRA_FLAGS))
+def test_help_lists_every_flag_a_subcommand_takes(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == COMMON_FLAGS | EXTRA_FLAGS[command]

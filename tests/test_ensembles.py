@@ -119,6 +119,30 @@ class TestSampling:
         assert abs(w.mean() - 0.5) < 0.02
         assert abs(np.quantile(w, 0.25) - 0.25) < 0.02
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n": 2.5}, {"n": True}, {"seed": 2.5}, {"seed": False}, {"stream": 1.5}, {"stream": True}],
+        ids=["n-fraction", "n-bool", "seed-fraction", "seed-bool", "stream-fraction", "stream-bool"],
+    )
+    @pytest.mark.parametrize("sampler", ["couplings", "amplitudes"])
+    def test_non_integer_sampler_arguments_rejected(self, sampler, kwargs):
+        # int() would read seed 2.5 as seed 2, and stream 1.5 as stream 1.
+        args = {"n": 4, "seed": 2, "stream": 1, **kwargs}
+        (name,) = kwargs
+        with pytest.raises(sb.ValidationError, match=f"{name} must be an integer"):
+            if sampler == "couplings":
+                sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), **args)
+            else:
+                sb.sample_amplitudes(sb.AmplitudeRule.random(), **args)
+
+    def test_whole_float_sampler_arguments_read_as_integers(self):
+        dist = sb.CouplingDistribution.gaussian(0.0, 1.0)
+        want = sb.sample_couplings(dist, 4, 2, stream=1).couplings
+        got = sb.sample_couplings(dist, 4.0, np.float64(2.0), stream=np.int64(1)).couplings
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        amps = sb.sample_amplitudes(sb.AmplitudeRule.random(), 3.0, 2.0, stream=5.0)
+        assert amps.n == 3
+
 
 class TestEnsembleAverage:
     def test_single_realization_is_identity(self):
@@ -176,6 +200,14 @@ class TestEnsembleAverage:
         couplings, amps = sb.realization_model(spec, 0)
         direct = sb.sample_couplings(spec.distribution, 5, 17, stream=0)
         np.testing.assert_array_equal(couplings.couplings, direct.couplings)
+
+    @pytest.mark.parametrize("index", [1.5, True, np.float64(0.5)])
+    def test_non_integer_realization_index_rejected(self, index):
+        # Index 1.5 would read couplings from stream 3 (realization 1's
+        # amplitudes) and amplitudes from stream 4 (realization 2's couplings).
+        spec = equal_ensemble(sb.CouplingDistribution.gaussian(0.0, 1.0), 5, 3, seed=17)
+        with pytest.raises(sb.ValidationError, match="realization index must be an integer"):
+            sb.realization_model(spec, index)
 
     def test_every_realization_obeys_model_invariants(self):
         spec = sb.EnsembleSpec(

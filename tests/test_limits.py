@@ -193,8 +193,9 @@ class TestLindeberg:
 
     def test_bad_threshold(self):
         s = sb.summarize(sb.CouplingSet([1.0]), exact_half_amplitudes(1))
-        with pytest.raises(sb.ValidationError):
-            sb.lindeberg_check(s, threshold=0.0)
+        for threshold in (0.0, -1.0, float("nan")):
+            with pytest.raises(sb.ValidationError, match="threshold"):
+                sb.lindeberg_check(s, threshold=threshold)
 
 
 class TestLongTimeAverage:

@@ -74,6 +74,17 @@ class RunConfig:
                 raise ConfigError(f"figure experiment needs figure one of {FIGURES}")
         elif self.figure is not None:
             raise ConfigError("figure key only applies to the figure experiment")
+        # The CLI and config files convert text; a caller of build_config or
+        # RunConfig may not, and the string "false" is truthy.
+        for name, kind in (
+            ("merge", bool),
+            ("quiet", bool),
+            ("distribution", CouplingDistribution),
+            ("amplitudes", AmplitudeRule),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
         for name in ("seed", "n", "realizations", "steps", "samples", "bins"):
             value = getattr(self, name)
             if value is None:

@@ -84,19 +84,11 @@ class _Tiled:
 _Column = np.ndarray | _Tiled
 
 
-def _cells(
+def _pieces(
     col: _Column, rows: int, nonfinite_repr: Callable[[Any], str]
-) -> Iterator[Iterable[str]]:
-    """The text of each value of a column, one chunk of rows at a time.
-
-    ``tolist`` yields Python ints and floats, whose ``repr`` is the
-    shortest round-trip form, in CSV cells and JSON numbers alike.  A
-    chunk that holds a NaN or an infinity is spelt by ``nonfinite_repr``
-    instead.  A chunk whose rows all have the same bits, such as a
-    repeated walk weight, is formatted once; comparing bits, not values,
-    keeps -0.0 and 0.0 apart.  Columns are float64 or int64, whose bits
-    view as int64.  A ``_Tiled`` column spells its tile once.
-    """
+) -> Iterator[np.ndarray | Iterable[str]]:
+    """A column one chunk of rows at a time: an array chunk, or the text
+    of a ``_Tiled`` chunk, whose tile is spelt once per table."""
     if isinstance(col, _Tiled):
         # nonfinite_repr spells a finite value as repr does.
         text = [nonfinite_repr(value) for value in col.tile.tolist()]
@@ -106,21 +98,92 @@ def _cells(
             yield itertools.islice(itertools.cycle(text), offset, offset + size)
         return
     for start in range(0, rows, _CHUNK_ROWS):
-        chunk = col[start : start + _CHUNK_ROWS]
-        bits = chunk.view(np.int64)
-        if (bits == bits[0]).all():
-            value = chunk[0].item()
-            spell = repr if math.isfinite(value) else nonfinite_repr
-            yield itertools.repeat(spell(value), chunk.size)
-        else:
-            spell = repr if np.isfinite(chunk).all() else nonfinite_repr
-            yield map(spell, chunk.tolist())
+        yield col[start : start + _CHUNK_ROWS]
+
+
+#: The text of +0.0 and -0.0, indexed by the sign bit.
+_ZEROS = ("0.0", "-0.0")
+
+
+def _spelt(chunk: np.ndarray, nonfinite_repr: Callable[[Any], str]) -> tuple[Iterable[str], bool]:
+    """One array chunk of ``_cells``: its text, and whether all its values
+    are finite."""
+    bits = chunk.view(np.int64)
+    if (bits == bits[0]).all():
+        value = chunk[0].item()
+        finite = math.isfinite(value)
+        return itertools.repeat((repr if finite else nonfinite_repr)(value), chunk.size), finite
+    if chunk.dtype == np.float64 and chunk[0] == 0.0 and not chunk.any():
+        return map(_ZEROS.__getitem__, np.signbit(chunk).tolist()), True
+    finite = bool(np.isfinite(chunk).all())
+    return map(repr if finite else nonfinite_repr, chunk.tolist()), finite
+
+
+def _cells(
+    col: _Column, rows: int, nonfinite_repr: Callable[[Any], str]
+) -> Iterator[Iterable[str]]:
+    """The text of each value of a column, one chunk of rows at a time.
+
+    ``tolist`` yields Python ints and floats, whose ``repr`` is the
+    shortest round-trip form, in CSV cells and JSON numbers alike.  A
+    chunk that holds a NaN or an infinity is spelt by ``nonfinite_repr``
+    instead.  Columns are float64 or int64, whose bits view as int64.
+    Three kinds of chunk skip ``repr`` per row, with the same text:
+
+    - every row has the same bits, such as a repeated walk weight: the
+      value is formatted once.  Comparing bits, not values, keeps -0.0
+      and 0.0 apart;
+    - a float64 chunk of zeros only (``not chunk.any()``, which a NaN
+      fails), such as the imaginary part of a real r(t): ``repr`` of a
+      zero is ``0.0`` or ``-0.0``, so its sign bit picks the text;
+    - a ``_Tiled`` column: the tile is formatted once per table.
+
+    ``_csv_blocks`` adds one rule across columns.
+    """
+    for piece in _pieces(col, rows, nonfinite_repr):
+        yield _spelt(piece, nonfinite_repr)[0] if isinstance(piece, np.ndarray) else piece
+
+
+def _is_abs(chunk: np.ndarray, source: np.ndarray) -> bool:
+    """Whether chunk holds the bits of np.abs(source), a float64 chunk."""
+    return (
+        chunk.dtype == np.float64
+        and abs(source[0]) == chunk[0]  # one cell rules out most columns
+        and np.array_equal(np.abs(source).view(np.int64), chunk.view(np.int64))
+    )
 
 
 def _csv_blocks(columns: dict[str, _Column], rows: int) -> Iterator[str]:
+    """The CSV lines of the columns, one chunk of rows per block.
+
+    Cells are spelt as by ``_cells``, with one more rule: a float64
+    chunk with the bits of ``np.abs`` of an earlier column's all-finite
+    chunk, such as ``abs_r`` beside the ``re_r`` of a real r(t), takes
+    that column's cells with any leading ``-`` dropped.  This is exact:
+    for finite x, ``repr(abs(x))`` is ``repr(x)`` without its sign, and
+    -0.0 gives 0.0.  Only the earlier chunk's text is held as a list,
+    and only while its chunk is written.  JSON writes column after
+    column, so sharing text there would hold a whole column; it spells
+    such a column itself.
+    """
     yield ",".join(columns) + "\n"
-    for chunk in zip(*(_cells(col, rows, repr) for col in columns.values())):
-        yield "\n".join(map(",".join, zip(*chunk)))
+    for pieces in zip(*(_pieces(col, rows, repr) for col in columns.values())):
+        cells: list[Iterable[str]] = []
+        sources: list[int] = []  # indices of all-finite float64 chunks
+        for piece in pieces:
+            if not isinstance(piece, np.ndarray):
+                cells.append(piece)
+                continue
+            i = next((i for i in sources if _is_abs(piece, pieces[i])), None)
+            if i is None:
+                text, finite = _spelt(piece, repr)
+                if finite and piece.dtype == np.float64:
+                    sources.append(len(cells))
+            else:
+                cells[i] = list(cells[i])
+                text = map(str.removeprefix, cells[i], itertools.repeat("-"))
+            cells.append(text)
+        yield "\n".join(map(",".join, zip(*cells)))
         yield "\n"
 
 

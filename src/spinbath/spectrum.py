@@ -36,8 +36,8 @@ _CHUNK_ROWS = 1 << 16
 
 _WEIGHT_TOL = 1e-10
 
-#: Peak bytes per bin of ``ldos``: five float64 arrays and one bool mask
-#: (tracemalloc).
+#: Peak bytes per bin of ``ldos`` through ``np.histogram`` (tracemalloc).
+#: Bin starts found by search peak lower, at three float64 arrays.
 _BYTES_PER_BIN = 41
 
 
@@ -113,13 +113,25 @@ class LdosHistogram:
     masses: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = np.array(self.edges, dtype=np.float64, copy=True)
-        masses = np.array(self.masses, dtype=np.float64, copy=True)
+        self._freeze(
+            np.array(self.edges, dtype=np.float64, copy=True),
+            np.array(self.masses, dtype=np.float64, copy=True),
+        )
+
+    @classmethod
+    def _adopt(cls, edges: np.ndarray, masses: np.ndarray) -> LdosHistogram:
+        """Validate and freeze float64 arrays the caller has just allocated
+        and hands over, without the public constructor's copies."""
+        histogram = object.__new__(cls)
+        histogram._freeze(edges, masses)
+        return histogram
+
+    def _freeze(self, edges: np.ndarray, masses: np.ndarray) -> None:
         if edges.ndim != 1 or masses.ndim != 1 or edges.size != masses.size + 1:
             raise ValidationError("histogram needs len(edges) == len(masses) + 1")
         if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(masses))):
             raise ValidationError("histogram edges and masses must be finite")
-        if np.any(np.diff(edges) <= 0.0):
+        if not _gaps_above(edges, 0.0, np.empty(masses.size, dtype=bool)).all():
             raise ValidationError("histogram edges must be strictly increasing")
         if np.any(masses < 0.0) or not abs(float(masses.sum()) - 1.0) <= _WEIGHT_TOL:
             raise ValidationError("histogram masses must be nonnegative and sum to 1")
@@ -336,7 +348,7 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
         # Walk order, or a subnormal bin width (see _sorted_masses):
         # np.histogram computes each entry's bin.
         masses, edges = np.histogram(e, bins=bins, range=(lo, hi), weights=spectrum.weights)
-    return LdosHistogram(edges=edges, masses=masses)
+    return LdosHistogram._adopt(edges, masses)
 
 
 #: Entries per block of ``np.histogram``'s uniform-bin loop (its internal

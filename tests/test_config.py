@@ -135,3 +135,35 @@ def test_bad_grid_surfaces_as_config_error():
 def test_validation_error_wrapped():
     with pytest.raises(ConfigError):
         build_config({}, {"experiment": "trace", "distribution": "not-a-distribution", "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("merge", "false"),
+        ("merge", 1),
+        ("merge", np.bool_(True)),
+        ("quiet", "yes"),
+        ("quiet", 0),
+        ("distribution", "gaussian(0, 1)"),
+        ("amplitudes", "equal"),
+        ("amplitudes", sb.CouplingDistribution.gaussian(0.0, 1.0)),
+    ],
+)
+def test_field_types_checked(field, value):
+    # Config files and flags convert text through SETTINGS; build_config's
+    # own callers may pass anything.  The string "false" is truthy, and a
+    # distribution given as text would fail only once sampling starts.
+    with pytest.raises(ConfigError, match=f"{field} must be a"):
+        build_config({}, {"experiment": "spectrum", field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be a"):
+        RunConfig(experiment="spectrum", **{field: value})
+
+
+def test_typed_fields_accepted():
+    dist = sb.CouplingDistribution.lorentzian(0.0, 0.25)
+    rule = sb.AmplitudeRule.random()
+    cfg = build_config(
+        {}, {"experiment": "ldos", "merge": True, "quiet": False, "distribution": dist, "amplitudes": rule}
+    )
+    assert (cfg.merge, cfg.quiet, cfg.distribution, cfg.amplitudes) == (True, False, dist, rule)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import spinbath as sb
 from spinbath.config import RunConfig
@@ -125,6 +127,22 @@ def test_table_writer_memory_is_bounded_by_chunks(tmp_path, fmt, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_shared_abs_text_memory_is_bounded_by_chunks(tmp_path, fmt, monkeypatch):
+    # As above, for a real r(t): CSV holds re_r's text of one chunk as a
+    # list for abs_r, which a whole column's text would far exceed.
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", 1 << 12)
+    re = np.random.default_rng(7).standard_normal(1 << 16)
+    columns = {"re_r": re, "im_r": np.zeros(re.size), "abs_r": np.abs(re)}
+    tracemalloc.start()
+    try:
+        runner._write_table(tmp_path / f"table.{fmt}", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_one_value_chunks_are_formatted_once(tmp_path, fmt, monkeypatch):
     calls = []
 
@@ -137,6 +155,73 @@ def test_one_value_chunks_are_formatted_once(tmp_path, fmt, monkeypatch):
     column = np.broadcast_to(np.array([0.25]), (3 << 10,))
     runner._write_table(tmp_path / f"table.{fmt}", {"weight": column})
     assert 1 <= len(calls) <= 3
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+def test_abs_text_is_text_without_its_sign(x):
+    # The CSV writer spells an abs_r chunk from re_r's cells on this rule.
+    assert repr(abs(x)) == repr(x).removeprefix("-")
+
+
+def _r_table():
+    """r(t) columns over six 2^10-row chunks and a 7-row tail, each chunk
+    of another kind: real with signed zeros, subnormals and +-max,
+    complex, real save one row, real with non-finite values, zero only
+    with both signs, and negative reals."""
+    chunk = 1 << 10
+    size = 6 * chunk + 7
+    rng = np.random.default_rng(20031207)
+    # Parts are set one by one: complex arithmetic would lose -0.0.
+    values = np.empty(size, dtype=complex)
+    values.real = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    values.imag = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+    values.real[:6] = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0]
+    values.imag[chunk : 2 * chunk] = rng.standard_normal(chunk)
+    values[3 * chunk - 1] = 0.25 + 0.5j
+    values.real[[3 * chunk + 5, 3 * chunk + 9, 4 * chunk - 1]] = [np.inf, -np.inf, np.nan]
+    values.real[4 * chunk : 5 * chunk] = np.where(rng.random(chunk) < 0.5, -0.0, 0.0)
+    values.real[5 * chunk : 6 * chunk] = -np.abs(values.real[5 * chunk : 6 * chunk])
+    columns = {"realization": np.arange(values.size, dtype=np.int64) % 3}
+    columns.update(runner._r_columns(np.linspace(0.0, 1.0, values.size), values))
+    return columns
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_r_columns_match_whole_list_writers(tmp_path, fmt, monkeypatch):
+    # abs_r is re_r's text without signs where the chunk is real and
+    # finite; im_r is spelt from sign bits where it holds only zeros.
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", 1 << 10)
+    columns = _r_table()
+    path = tmp_path / f"table.{fmt}"
+    rows, digest = runner._write_table(path, columns)
+    expected = _reference_table(path, columns).encode("utf-8")
+    assert path.read_bytes() == expected
+    assert (rows, digest) == (len(columns["t"]), hashlib.sha256(expected).hexdigest())
+
+
+def test_real_trace_spells_only_t_and_re_r(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(runner, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", 1 << 10)
+    dist = sb.CouplingDistribution.lorentzian(0.0, 0.25)
+    spec = sb.EnsembleSpec(dist, sb.AmplitudeRule.equal(), n=40, realizations=1, seed=7)
+    trace = sb.decoherence_trace(*sb.realization_model(spec, 0), sb.TimeGrid(0.0, 20.0, 3001))
+    re, im = trace.values.real, trace.values.imag
+    assert not im.any() and np.signbit(im).any() and not np.signbit(im).all()
+    runner._write_table(tmp_path / "trace.csv", runner._r_columns(trace.times, trace.values))
+    assert sorted(calls) == sorted(trace.times.tolist() + re.tolist())
 
 
 def _ensemble_cases():

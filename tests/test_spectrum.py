@@ -403,9 +403,8 @@ class TestLdos:
             sb.ldos(spec, bins=bins)
 
     def test_peak_memory_per_bin_within_estimate(self):
-        # The capacity message estimates 41 bytes per bin, merged or not.
-        # Bin starts are searched only for bins * log2(levels) well below
-        # the level count, so many bins always take np.histogram.
+        # The capacity message estimates 41 bytes per bin, merged or not:
+        # np.histogram's peak, which searched bin starts stay below.
         bins = 1 << 16
         for merged in (False, True):
             spec = sb.EnergySpectrum(
@@ -413,6 +412,45 @@ class TestLdos:
             )
             _, peak = traced_peak(sb.ldos, spec, bins)
             assert peak < 41 * bins + (1 << 16), merged
+
+    def test_merged_peak_memory_per_bin(self):
+        # Many bins over few merged levels: the histogram adopts the edges
+        # and masses ldos built, so the peak is ldos's own edges, bin
+        # starts and masses (24 bytes per bin), not 41 with the copies.
+        rng = np.random.default_rng(3)
+        levels = 1024
+        spec = sb.EnergySpectrum(
+            energies=np.sort(rng.standard_normal(levels)),
+            weights=np.full(levels, 1.0 / levels),
+            n_spins=10,
+            merged=True,
+        )
+        bins = 1 << 18
+        hist, peak = traced_peak(sb.ldos, spec, bins)
+        assert hist.masses.size == bins
+        assert peak < 26 * bins
+
+    def test_histograms_are_frozen_and_constructor_copies(self):
+        edges = np.array([0.0, 1.0, 2.0])
+        masses = np.array([0.25, 0.75])
+        hist = sb.LdosHistogram(edges=edges, masses=masses)
+        edges[0] = -1.0
+        masses[:] = [1.0, 0.0]
+        assert hist.edges.tolist() == [0.0, 1.0, 2.0]
+        assert hist.masses.tolist() == [0.25, 0.75]
+        spec = sb.EnergySpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=1)
+        for h in (hist, sb.ldos(spec), sb.ldos(sb.merge_degenerate(spec, 0.0), 3)):
+            assert not (h.edges.flags.writeable or h.masses.flags.writeable)
+
+    def test_edge_order_checked_across_chunk_boundary(self):
+        # Only the pair 2^16 - 1 | 2^16, where gap windows meet, is out of order.
+        bins = 1 << 17
+        edges = np.arange(bins + 1, dtype=float)
+        masses = np.full(bins, 1.0 / bins)
+        assert sb.LdosHistogram(edges=edges, masses=masses).masses.size == bins
+        edges[1 << 16] = edges[(1 << 16) - 1]
+        with pytest.raises(sb.ValidationError, match="strictly increasing"):
+            sb.LdosHistogram(edges=edges, masses=masses)
 
     @pytest.mark.parametrize("merged", [False, True])
     def test_bins_too_fine_for_energy_range_rejected(self, merged):

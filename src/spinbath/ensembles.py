@@ -32,6 +32,11 @@ _COUPLING_KINDS = {"fixed": 1, "uniform": 2, "gaussian": 2, "lorentzian": 2}
 _SPEC_RE = re.compile(r"^\s*([a-z-]+)\s*(?:\(([^)]*)\))?\s*$")
 
 
+def _checked_type(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
+
+
 def _parse_call(text: str, what: str) -> tuple[str, tuple[float, ...]]:
     m = _SPEC_RE.match(text)
     if not m:
@@ -164,6 +169,8 @@ class EnsembleSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        _checked_type(self.distribution, CouplingDistribution, "distribution")
+        _checked_type(self.amplitudes, AmplitudeRule, "amplitudes")
         for name in ("n", "realizations", "seed"):
             object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         if self.n < 1:
@@ -176,6 +183,7 @@ def sample_couplings(
     dist: CouplingDistribution, n: int, seed: int, *, stream: int = 0
 ) -> CouplingSet:
     """Draw N couplings; identical (dist, n, seed, stream) give identical bits."""
+    _checked_type(dist, CouplingDistribution, "distribution")
     n, seed = _checked_int(n, "n"), _checked_int(seed, "seed")
     stream = _checked_int(stream, "stream")
     if n < 1:
@@ -212,6 +220,7 @@ def sample_amplitudes(
     rule: AmplitudeRule, n: int, seed: int, *, stream: int = 1
 ) -> EnvironmentAmplitudes:
     """Build N amplitude pairs under the rule; deterministic in (seed, stream)."""
+    _checked_type(rule, AmplitudeRule, "amplitude rule")
     n, seed = _checked_int(n, "n"), _checked_int(seed, "seed")
     stream = _checked_int(stream, "stream")
     if n < 1:

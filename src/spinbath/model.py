@@ -144,6 +144,8 @@ class TimeGrid:
             raise ValidationError("grid start must not exceed stop")
         if steps > 1 and start == stop:
             raise ValidationError("zero-width grid cannot hold multiple samples")
+        if not math.isfinite(stop - start):
+            raise ValidationError(f"grid from {start!r} to {stop!r}: stop - start overflows")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "stop", stop)
         object.__setattr__(self, "steps", steps)
@@ -162,10 +164,10 @@ class DecoherenceTrace:
     n_spins: int
 
     def __post_init__(self) -> None:
-        self._freeze(
-            np.array(self.times, dtype=np.float64, copy=True),
-            np.array(self.values, dtype=np.complex128, copy=True),
-        )
+        times = np.array(self.times, dtype=np.float64, copy=True)
+        if not np.all(np.isfinite(times)):
+            raise ValidationError("trace times must be finite")
+        self._freeze(times, np.array(self.values, dtype=np.complex128, copy=True))
 
     @classmethod
     def _adopt(cls, times: np.ndarray, values: np.ndarray, n_spins: int) -> DecoherenceTrace:
@@ -179,14 +181,17 @@ class DecoherenceTrace:
         return trace
 
     def _freeze(self, times: np.ndarray, values: np.ndarray) -> None:
+        n_spins = _checked_n_spins(self.n_spins)
         if times.ndim != 1 or times.size < 1 or times.shape != values.shape:
             raise ValidationError("trace times and values must be matching 1-d arrays")
         mags = np.abs(values)
-        if np.any(mags > 1.0 + NORM_TOL):
-            raise ValidationError(f"|r| exceeds 1 by {float(mags.max() - 1.0):.3e}")
+        # Written so that a NaN fails: r(t) is finite wherever g_k t is.
+        if not np.all(mags <= 1.0 + NORM_TOL):
+            raise ValidationError(f"|r| must not exceed 1, got {float(mags.max())!r}")
         at_zero = values[times == 0.0]
         if at_zero.size and not np.all(at_zero == 1.0 + 0.0j):
             raise ValidationError("r(0) must equal 1 exactly")
+        object.__setattr__(self, "n_spins", n_spins)
         object.__setattr__(self, "times", _readonly(times))
         object.__setattr__(self, "values", _readonly(values))
 
@@ -206,6 +211,13 @@ def _checked_int(value, what: str) -> int:
     if whole or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _checked_n_spins(n) -> int:
+    """n as an int; anything but a Python or numpy integer >= 1 raises."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"n_spins must be an int >= 1, got {n!r}")
+    return int(n)
 
 
 def _checked_time(t) -> float:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .ensembles import (
     realization_model,
     sample_couplings,
 )
+from .errors import ValidationError
 from .limits import check_time_average, gaussian_validity_window, summarize
 from .model import decoherence_trace
 from .spectrum import (
@@ -64,12 +65,6 @@ def _write_json(path: Path, payload: dict[str, Any]) -> str:
     return _write_hashed(path, [text, "\n"])
 
 
-def _json_repr(value: float) -> str:
-    # repr spells non-finite floats nan, inf and -inf, which no finite
-    # cell contains; json spells them NaN, Infinity and -Infinity.
-    return repr(value).replace("nan", "NaN").replace("inf", "Infinity")
-
-
 @dataclass(frozen=True)
 class _Tiled:
     """A column holding ``reps`` copies of the 1-d array ``tile`` end to end."""
@@ -84,14 +79,11 @@ class _Tiled:
 _Column = np.ndarray | _Tiled
 
 
-def _pieces(
-    col: _Column, rows: int, nonfinite_repr: Callable[[Any], str]
-) -> Iterator[np.ndarray | Iterable[str]]:
+def _pieces(col: _Column, rows: int) -> Iterator[np.ndarray | Iterable[str]]:
     """A column one chunk of rows at a time: an array chunk, or the text
     of a ``_Tiled`` chunk, whose tile is spelt once per table."""
     if isinstance(col, _Tiled):
-        # nonfinite_repr spells a finite value as repr does.
-        text = [nonfinite_repr(value) for value in col.tile.tolist()]
+        text = [repr(value) for value in col.tile.tolist()]
         for start in range(0, rows, _CHUNK_ROWS):
             offset = start % len(text)
             size = min(_CHUNK_ROWS, rows - start)
@@ -105,43 +97,37 @@ def _pieces(
 _ZEROS = ("0.0", "-0.0")
 
 
-def _spelt(chunk: np.ndarray, nonfinite_repr: Callable[[Any], str]) -> tuple[Iterable[str], bool]:
-    """One array chunk of ``_cells``: its text, and whether all its values
-    are finite."""
+def _spelt(chunk: np.ndarray) -> Iterable[str]:
+    """The text of one array chunk of ``_cells``."""
     bits = chunk.view(np.int64)
     if (bits == bits[0]).all():
-        value = chunk[0].item()
-        finite = math.isfinite(value)
-        return itertools.repeat((repr if finite else nonfinite_repr)(value), chunk.size), finite
+        return itertools.repeat(repr(chunk[0].item()), chunk.size)
     if chunk.dtype == np.float64 and chunk[0] == 0.0 and not chunk.any():
-        return map(_ZEROS.__getitem__, np.signbit(chunk).tolist()), True
-    finite = bool(np.isfinite(chunk).all())
-    return map(repr if finite else nonfinite_repr, chunk.tolist()), finite
+        return map(_ZEROS.__getitem__, np.signbit(chunk).tolist())
+    return map(repr, chunk.tolist())
 
 
-def _cells(
-    col: _Column, rows: int, nonfinite_repr: Callable[[Any], str]
-) -> Iterator[Iterable[str]]:
+def _cells(col: _Column, rows: int) -> Iterator[Iterable[str]]:
     """The text of each value of a column, one chunk of rows at a time.
 
     ``tolist`` yields Python ints and floats, whose ``repr`` is the
-    shortest round-trip form, in CSV cells and JSON numbers alike.  A
-    chunk that holds a NaN or an infinity is spelt by ``nonfinite_repr``
-    instead.  Columns are float64 or int64, whose bits view as int64.
-    Three kinds of chunk skip ``repr`` per row, with the same text:
+    shortest round-trip form, in CSV cells and JSON numbers alike, since
+    every value is finite (``_write_table`` checks).  Columns are float64
+    or int64, whose bits view as int64.  Three kinds of chunk skip
+    ``repr`` per row, with the same text:
 
     - every row has the same bits, such as a repeated walk weight: the
       value is formatted once.  Comparing bits, not values, keeps -0.0
       and 0.0 apart;
-    - a float64 chunk of zeros only (``not chunk.any()``, which a NaN
-      fails), such as the imaginary part of a real r(t): ``repr`` of a
-      zero is ``0.0`` or ``-0.0``, so its sign bit picks the text;
+    - a float64 chunk of zeros only (``not chunk.any()``), such as the
+      imaginary part of a real r(t): ``repr`` of a zero is ``0.0`` or
+      ``-0.0``, so its sign bit picks the text;
     - a ``_Tiled`` column: the tile is formatted once per table.
 
     ``_csv_blocks`` adds one rule across columns.
     """
-    for piece in _pieces(col, rows, nonfinite_repr):
-        yield _spelt(piece, nonfinite_repr)[0] if isinstance(piece, np.ndarray) else piece
+    for piece in _pieces(col, rows):
+        yield _spelt(piece) if isinstance(piece, np.ndarray) else piece
 
 
 def _is_abs(chunk: np.ndarray, source: np.ndarray) -> bool:
@@ -157,27 +143,27 @@ def _csv_blocks(columns: dict[str, _Column], rows: int) -> Iterator[str]:
     """The CSV lines of the columns, one chunk of rows per block.
 
     Cells are spelt as by ``_cells``, with one more rule: a float64
-    chunk with the bits of ``np.abs`` of an earlier column's all-finite
+    chunk with the bits of ``np.abs`` of an earlier float64 column's
     chunk, such as ``abs_r`` beside the ``re_r`` of a real r(t), takes
     that column's cells with any leading ``-`` dropped.  This is exact:
-    for finite x, ``repr(abs(x))`` is ``repr(x)`` without its sign, and
-    -0.0 gives 0.0.  Only the earlier chunk's text is held as a list,
-    and only while its chunk is written.  JSON writes column after
-    column, so sharing text there would hold a whole column; it spells
-    such a column itself.
+    for finite x, the only kind a table holds, ``repr(abs(x))`` is
+    ``repr(x)`` without its sign, and -0.0 gives 0.0.  Only the earlier
+    chunk's text is held as a list, and only while its chunk is written.
+    JSON writes column after column, so sharing text there would hold a
+    whole column; it spells such a column itself.
     """
     yield ",".join(columns) + "\n"
-    for pieces in zip(*(_pieces(col, rows, repr) for col in columns.values())):
+    for pieces in zip(*(_pieces(col, rows) for col in columns.values())):
         cells: list[Iterable[str]] = []
-        sources: list[int] = []  # indices of all-finite float64 chunks
+        sources: list[int] = []  # indices of float64 chunks
         for piece in pieces:
             if not isinstance(piece, np.ndarray):
                 cells.append(piece)
                 continue
             i = next((i for i in sources if _is_abs(piece, pieces[i])), None)
             if i is None:
-                text, finite = _spelt(piece, repr)
-                if finite and piece.dtype == np.float64:
+                text = _spelt(piece)
+                if piece.dtype == np.float64:
                     sources.append(len(cells))
             else:
                 cells[i] = list(cells[i])
@@ -194,7 +180,7 @@ def _json_blocks(columns: dict[str, _Column], rows: int) -> Iterator[str]:
         yield f"{opening}\n  {json.dumps(header)}: ["
         opening = ","
         separator = "\n    "
-        for chunk in _cells(col, rows, _json_repr):
+        for chunk in _cells(col, rows):
             yield separator
             yield ",\n    ".join(chunk)
             separator = ",\n    "
@@ -206,9 +192,15 @@ def _write_table(path: Path, columns: dict[str, _Column]) -> tuple[int, str]:
     """Write equal-length named columns, in order, as CSV or JSON by suffix.
 
     The file is streamed in chunks of rows and hashed as it is written.
-    Returns the column length and the sha256 of the file.
+    Returns the column length and the sha256 of the file.  Every cell
+    must be a finite number: a column holding a NaN or an infinity raises
+    ValidationError before path is opened.
     """
     (rows,) = {len(col) for col in columns.values()}  # unpacking fails on ragged columns
+    for name, col in columns.items():
+        chunks = [col.tile] if isinstance(col, _Tiled) else _pieces(col, rows)
+        if not all(np.isfinite(chunk).all() for chunk in chunks):
+            raise ValidationError(f"table column {name!r} holds a non-finite value")
     blocks = _csv_blocks if path.suffix == ".csv" else _json_blocks
     return rows, _write_hashed(path, blocks(columns, rows))
 

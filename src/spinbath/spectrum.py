@@ -21,6 +21,7 @@ from .model import (
     CouplingSet,
     EnvironmentAmplitudes,
     _checked_int,
+    _checked_n_spins,
     _checked_time,
     _readonly,
     _require_matching_sizes,
@@ -70,9 +71,7 @@ class EnergySpectrum:
         return spectrum
 
     def _freeze(self, e: np.ndarray, w: np.ndarray) -> None:
-        n = self.n_spins
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"n_spins must be an int >= 1, got {n!r}")
+        n_spins = _checked_n_spins(self.n_spins)
         if not isinstance(self.merged, bool):
             raise ValidationError(f"merged must be a bool, got {self.merged!r}")
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
@@ -87,7 +86,7 @@ class EnergySpectrum:
             raise ValidationError(f"spectrum weights sum to {total!r}, not 1")
         if self.merged and not _gaps_above(e, 0.0, np.empty(e.size - 1, dtype=bool)).all():
             raise ValidationError("merged spectrum must have strictly increasing energies")
-        object.__setattr__(self, "n_spins", int(n))
+        object.__setattr__(self, "n_spins", n_spins)
         object.__setattr__(self, "energies", _readonly(e))
         object.__setattr__(self, "weights", _readonly(w))
 

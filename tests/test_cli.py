@@ -249,6 +249,29 @@ def test_overflowing_trace_statistics_left_out_of_manifest(tmp_path):
     assert manifest["details"] == {"mean_energy": 0.0}
 
 
+@pytest.mark.parametrize("command", ["trace", "echo", "ensemble"])
+def test_overflowing_phases_exit_2_without_writing(tmp_path, capsys, command):
+    # g t overflows to inf, and r(t) would be NaN: no table holds it.
+    out = tmp_path / "huge"
+    argv = [command, "--n", "2", "--couplings", "fixed(1e308)", "--stop", "10",
+            "--format", "json", "--out-dir", str(out), "--quiet"]
+    with pytest.warns(RuntimeWarning):
+        code = main(argv)
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_overflowing_grid_width_exits_2(tmp_path, capsys):
+    # np.linspace would sample t = nan, inf, 1e308.
+    out = tmp_path / "wide"
+    code = main(["trace", "--start=-1e308", "--stop", "1e308", "--steps", "3",
+                 "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    assert "overflows" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_figure_subcommand(tmp_path):
     code = main(
         ["figure", "--which", "fig1", "--n", "4", "--out-dir", str(tmp_path / "f"), "--quiet"]

@@ -135,6 +135,12 @@ class TestSampling:
             else:
                 sb.sample_amplitudes(sb.AmplitudeRule.random(), **args)
 
+    def test_untyped_sampler_rules_rejected(self):
+        with pytest.raises(sb.ValidationError, match="distribution must be"):
+            sb.sample_couplings("gaussian(0,1)", 3, 1)
+        with pytest.raises(sb.ValidationError, match="amplitude rule must be"):
+            sb.sample_amplitudes("random", 3, 1)
+
     def test_whole_float_sampler_arguments_read_as_integers(self):
         dist = sb.CouplingDistribution.gaussian(0.0, 1.0)
         want = sb.sample_couplings(dist, 4, 2, stream=1).couplings
@@ -310,6 +316,23 @@ class TestEnsembleAverage:
         kwargs = {"n": 3, "realizations": 2, "seed": 1, field: value}
         with pytest.raises(sb.ValidationError, match=f"{field} must be an integer"):
             sb.EnsembleSpec(sb.CouplingDistribution.fixed(1.0), sb.AmplitudeRule.equal(), **kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("distribution", "gaussian(0, 1)"), ("amplitudes", "equal"), ("amplitudes", None)],
+    )
+    def test_spec_rejects_untyped_rules(self, field, value):
+        # A string here once failed later, in sampling, with AttributeError.
+        kwargs = dict(
+            distribution=sb.CouplingDistribution.fixed(1.0),
+            amplitudes=sb.AmplitudeRule.equal(),
+            n=3,
+            realizations=2,
+            seed=1,
+        )
+        kwargs[field] = value
+        with pytest.raises(sb.ValidationError, match=f"{field} must be a"):
+            sb.EnsembleSpec(**kwargs)
 
     def test_spec_takes_numpy_integers(self):
         spec = equal_ensemble(sb.CouplingDistribution.fixed(1.0), np.int64(3), np.int32(2), np.uint64(7))

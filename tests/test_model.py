@@ -52,6 +52,12 @@ class TestTypes:
         with pytest.raises(sb.ValidationError):
             sb.TimeGrid(1.0, 1.0, 2)
 
+    def test_time_grid_rejects_overflowing_width(self):
+        # np.linspace would give the samples [nan, inf, 1e308].
+        with pytest.raises(sb.ValidationError, match="overflows"):
+            sb.TimeGrid(-1e308, 1e308, 3)
+        assert sb.TimeGrid(-1e308, 0.0, 3).samples.tolist() == [-1e308, -5e307, 0.0]
+
     @pytest.mark.parametrize("steps", [2.5, True, float("inf")])
     def test_time_grid_rejects_non_integer_steps(self, steps):
         # int() would give 2.5 two samples and True one.
@@ -70,6 +76,39 @@ class TestTypes:
             sb.DecoherenceTrace(times=[0.0], values=[1.0 + 1e-15j], n_spins=1)
         trace = sb.DecoherenceTrace(times=[0.0, 1.0], values=[1.0, 0.5j], n_spins=1)
         assert len(trace) == 2
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"values": [1.0, np.nan]},
+            {"values": [1.0, complex(np.nan, 0.0)]},
+            {"times": [0.0, np.inf]},
+            {"times": [np.nan, 1.0]},
+            {"n_spins": -3},
+            {"n_spins": 0},
+            {"n_spins": True},
+            {"n_spins": 2.0},
+            {"n_spins": "2"},
+        ],
+        ids=["nan", "nan-real", "inf-time", "nan-time", "negative", "zero", "bool", "float", "str"],
+    )
+    def test_trace_rejects_non_finite_entries_and_bad_sizes(self, kwargs):
+        # A NaN compares False with 1 + NORM_TOL, so it once passed the |r| check.
+        args = {"times": [0.0, 1.0], "values": [1.0, 0.5], "n_spins": 2, **kwargs}
+        with pytest.raises(sb.ValidationError):
+            sb.DecoherenceTrace(**args)
+
+    def test_trace_takes_numpy_integer_sizes(self):
+        trace = sb.DecoherenceTrace(times=[0.0], values=[1.0], n_spins=np.int64(3))
+        assert trace.n_spins == 3 and type(trace.n_spins) is int
+
+    def test_overflowing_phases_are_rejected(self):
+        # g t overflows to inf and e^{i inf} is NaN: |r| <= 1 holds for
+        # every finite r(t), so the trace is refused, not written.
+        c = sb.CouplingSet([1e308, 1e308])
+        a = sb.EnvironmentAmplitudes.equal_superposition(2)
+        with pytest.warns(RuntimeWarning), pytest.raises(sb.ValidationError, match="nan"):
+            sb.decoherence_trace(c, a, sb.TimeGrid(0.0, 10.0, 3))
 
 
 class TestDecoherenceFactor:

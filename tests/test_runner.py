@@ -63,11 +63,16 @@ def _reference_table(path, columns):
     return json.dumps({h: col.tolist() for h, col in columns.items()}, indent=2) + "\n"
 
 
+#: The finite extremes: +-max, the smallest normal and +-the smallest subnormal.
+_MAX = 1.7976931348623157e308
+_EXTREMES = [_MAX, -_MAX, 2.2250738585072014e-308, 5e-324, -5e-324]
+
+
 def _writer_cases():
     rows = 3 * runner._CHUNK_ROWS + 5
     rng = np.random.default_rng(20031207)
     floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
-    floats[[0, 1, 2, runner._CHUNK_ROWS, rows - 1]] = [np.nan, np.inf, -np.inf, -0.0, np.nan]
+    floats[[0, 1, 2, runner._CHUNK_ROWS, rows - 1]] = [5e-324, _MAX, -_MAX, -0.0, -5e-324]
     chunk = runner._CHUNK_ROWS
     sizes = [chunk, chunk, chunk, 5]
     signed_zeros = np.zeros(chunk)
@@ -81,9 +86,9 @@ def _writer_cases():
             "strided": (floats[::-1] + 1j).real,
         },
         "repeats": {
-            "zeros": np.repeat([0.0, -0.0, np.nan, np.inf], sizes),
+            "zeros": np.repeat([0.0, -0.0, 5e-324, _MAX], sizes),
             "mixed": np.concatenate(
-                [np.full(chunk, -np.inf), signed_zeros, last_differs, np.full(5, 1.5)]
+                [np.full(chunk, -_MAX), signed_zeros, last_differs, np.full(5, 1.5)]
             ),
             "label": np.repeat(np.array([-1, 0, 2**62, 7], dtype=np.int64), sizes),
             "weight": np.broadcast_to(np.array([2.0**-17]), (rows,)),
@@ -96,9 +101,9 @@ def _writer_cases():
 @pytest.mark.parametrize("case", ["chunks", "repeats", "empty"])
 def test_streaming_writer_matches_whole_list_writers(tmp_path, case, fmt):
     # The golden cases all fit in one chunk; these tables span four, with
-    # non-finite floats and -0.0 on chunk edges, and one-value chunks of
-    # signed zeros, non-finite floats, ints and a 0-stride column, beside
-    # chunks that are one value save for one row.
+    # subnormals, +-max and -0.0 on chunk edges, and one-value chunks of
+    # signed zeros, extremes, ints and a 0-stride column, beside chunks
+    # that are one value save for one row.
     columns = _writer_cases()[case]
     path = tmp_path / f"table.{fmt}"
     rows, digest = runner._write_table(path, columns)
@@ -107,6 +112,41 @@ def test_streaming_writer_matches_whole_list_writers(tmp_path, case, fmt):
     assert data == expected
     assert rows == len(next(iter(columns.values())))
     assert digest == hashlib.sha256(expected).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def _non_finite_table(where, value):
+    """A four-chunk table with one non-finite cell, or chunk, at ``where``;
+    returns the table and the name of the column that holds it."""
+    chunk = runner._CHUNK_ROWS
+    rows = 4 * chunk
+    floats = np.random.default_rng(20031207).standard_normal(rows)
+    columns = {"label": np.arange(rows, dtype=np.int64), "value": floats}
+    if where == "tile":
+        columns["t"] = runner._Tiled(np.array([0.0, 0.5, value, 1.0]), rows // 4)
+        return columns, "t"
+    if where == "r-column":
+        values = floats + 0j
+        values.imag[chunk] = value
+        columns.update(runner._r_columns(np.linspace(0.0, 1.0, rows), values))
+        return columns, "im_r"
+    at = {"first-row": 0, "chunk-edge": chunk, "last-row": -1, "whole-chunk": slice(chunk, 2 * chunk)}
+    floats[at[where]] = value
+    return columns, "value"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "where", ["first-row", "chunk-edge", "last-row", "whole-chunk", "tile", "r-column"]
+)
+def test_non_finite_cell_is_refused_before_opening(tmp_path, where, value, fmt):
+    # A table holds finite numbers only; like _write_json, the writer
+    # raises before the path is opened, naming the column.
+    columns, name = _non_finite_table(where, value)
+    path = tmp_path / f"table.{fmt}"
+    with pytest.raises(sb.ValidationError, match=f"column {name!r}"):
+        runner._write_table(path, columns)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -173,8 +213,8 @@ def test_abs_text_is_text_without_its_sign(x):
 def _r_table():
     """r(t) columns over six 2^10-row chunks and a 7-row tail, each chunk
     of another kind: real with signed zeros, subnormals and +-max,
-    complex, real save one row, real with non-finite values, zero only
-    with both signs, and negative reals."""
+    complex, real save one row, real with extremes inside the chunk,
+    zero only with both signs, and negative reals."""
     chunk = 1 << 10
     size = 6 * chunk + 7
     rng = np.random.default_rng(20031207)
@@ -185,7 +225,7 @@ def _r_table():
     values.real[:6] = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0]
     values.imag[chunk : 2 * chunk] = rng.standard_normal(chunk)
     values[3 * chunk - 1] = 0.25 + 0.5j
-    values.real[[3 * chunk + 5, 3 * chunk + 9, 4 * chunk - 1]] = [np.inf, -np.inf, np.nan]
+    values.real[[3 * chunk + 5, 3 * chunk + 9, 4 * chunk - 1]] = [_MAX, -5e-324, -_MAX]
     values.real[4 * chunk : 5 * chunk] = np.where(rng.random(chunk) < 0.5, -0.0, 0.0)
     values.real[5 * chunk : 6 * chunk] = -np.abs(values.real[5 * chunk : 6 * chunk])
     columns = {"realization": np.arange(values.size, dtype=np.int64) % 3}
@@ -195,8 +235,8 @@ def _r_table():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_r_columns_match_whole_list_writers(tmp_path, fmt, monkeypatch):
-    # abs_r is re_r's text without signs where the chunk is real and
-    # finite; im_r is spelt from sign bits where it holds only zeros.
+    # abs_r is re_r's text without signs where the chunk is real; im_r
+    # is spelt from sign bits where it holds only zeros.
     monkeypatch.setattr(runner, "_CHUNK_ROWS", 1 << 10)
     columns = _r_table()
     path = tmp_path / f"table.{fmt}"
@@ -232,6 +272,7 @@ def _ensemble_cases():
     reps = runner._CHUNK_ROWS // 7 + 2  # 65,536 = 7 * 9362 + 2
     # A last row unlike the others, as an ensemble's mean row is.
     crossing = np.vstack([np.tile(seven.values, (reps, 1)), np.conj(seven.values)])
+    extremes = np.array([-0.0, 1e-300, *_EXTREMES])
     nonfinite = np.array([-0.0, 1e-300, np.inf, -np.inf, np.nan])
     # The shape of fig3_trace_n100: one N = 100 trace.
     dist = sb.CouplingDistribution.lorentzian(0.0, 0.25)
@@ -240,26 +281,35 @@ def _ensemble_cases():
     return {
         "signed-zero": (signed.times, np.tile(signed.values, (3, 1)), [0, 1, -1], None),
         "chunk-crossing": (seven.times, crossing, [*range(reps), -1], 2.0**-3),
+        "extremes": (extremes, np.tile([1, 0.5, 0, 0, 0, 0, 0], (2, 1)) + 0j, [0, -1], None),
         "nonfinite": (nonfinite, np.tile([1, 0.5, 0, 0, 0], (2, 1)) + 0j, [0, -1], None),
         "fig3-trace-n100": (n100.times, n100.values[np.newaxis], [0], 2.0**-50),
     }
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", ["signed-zero", "chunk-crossing", "nonfinite", "fig3-trace-n100"])
+@pytest.mark.parametrize(
+    "case", ["signed-zero", "chunk-crossing", "extremes", "nonfinite", "fig3-trace-n100"]
+)
 def test_ensemble_table_matches_flat_time_column(tmp_path, case, fmt):
     # The tiled time column must give the bytes of the concatenated one,
     # including -0.0 cells, chunk boundaries inside a tile (steps = 7) and
-    # non-finite times.
+    # the finite extremes.  A non-finite time is refused through the tile
+    # before the file is opened, as it is in a flat column.
     times, values, labels, floor = _ensemble_cases()[case]
     art = runner._Artifacts(tmp_path, fmt, quiet=True)
+    path = tmp_path / f"table.{fmt}"
+    if case == "nonfinite":
+        with pytest.raises(sb.ValidationError, match="column 't'"):
+            runner._ensemble_table(art, "table", "role", times, values, labels, floor)
+        assert not path.exists() and art.entries == []
+        return
     runner._ensemble_table(art, "table", "role", times, values, labels, floor)
     rows = values.shape[0]
     flat = {"realization": np.repeat(labels, times.size)}
     flat.update(runner._r_columns(np.tile(times, rows), np.concatenate(list(values))))
     if floor is not None:
         flat["floor"] = np.full(len(flat["realization"]), floor)
-    path = tmp_path / f"table.{fmt}"
     data = path.read_bytes()
     assert data == _reference_table(path, flat).encode("utf-8")
     assert art.entries[0]["sha256"] == hashlib.sha256(data).hexdigest()

@@ -2,8 +2,8 @@
 
 Each case is a small seed-7 run of one experiment or figure, in csv and
 in json.  A refactor that changes a single output bit, or a numpy release
-that does, fails here.  The manifest is left out because it records the
-output directory.
+that does, fails here.  The manifest is pinned too, with its
+``config.out_dir`` blanked, since that records where the run wrote.
 
     PYTHONPATH=src python3 tests/test_golden_digests.py    # re-record golden_digests.json
 
@@ -59,13 +59,23 @@ def run_case(case: str, fmt: str, out_dir: Path) -> Path:
     return out_dir
 
 
+def _manifest_text(manifest: dict) -> str:
+    return json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def artifact_digests(out_dir: Path) -> dict[str, str]:
-    """{file name: sha256} of the numeric artifacts of one run."""
-    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    return {
+    """{file name: sha256} of the numeric artifacts of one run, and of
+    its manifest as written with ``config.out_dir`` blanked."""
+    text = (out_dir / "manifest.json").read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    assert _manifest_text(manifest) == text  # re-spelling keeps every byte
+    digests = {
         entry["file"]: hashlib.sha256((out_dir / entry["file"]).read_bytes()).hexdigest()
         for entry in manifest["outputs"]
     }
+    manifest["config"]["out_dir"] = ""
+    digests["manifest.json"] = hashlib.sha256(_manifest_text(manifest).encode()).hexdigest()
+    return digests
 
 
 def _golden() -> dict:

@@ -10,6 +10,7 @@ branch 1, the echo amplitude reduces to the decoherence factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,12 @@ class DiagonalBranchHamiltonian:
     def __neg__(self) -> "DiagonalBranchHamiltonian":
         return DiagonalBranchHamiltonian(up=-self.up, down=-self.down)
 
+    @cached_property
+    def _halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """(up / 2, down / 2), kept since echo_amplitude takes their
+        differences at every time."""
+        return 0.5 * self.up, 0.5 * self.down
+
 
 def echo_amplitude(
     h0: DiagonalBranchHamiltonian,
@@ -67,13 +74,16 @@ def echo_amplitude(
 
     Equals prod_k (|alpha_k|^2 e^{i (up0_k - up1_k) t / 2}
                    + |beta_k|^2 e^{i (down0_k - down1_k) t / 2}).
+    Each rate is halved before the difference, so h1 = -h0 never forms
+    2g, which overflows for |g| above half the float limit.  Halving a
+    normal float is exact, so the phases keep the bits of
+    (up0_k - up1_k) * (t / 2).
     """
     _require_matching_sizes(h0.n, h1.n, "branch Hamiltonians")
     _require_matching_sizes(h0.n, amps.n, "Hamiltonian vs amplitudes")
+    (up0, down0), (up1, down1) = h0._halves, h1._halves
     return complex(
-        _branch_product(
-            amps.alpha_sq, amps.beta_sq, h0.up - h1.up, h0.down - h1.down, 0.5 * _checked_time(t)
-        )
+        _branch_product(amps.alpha_sq, amps.beta_sq, up0 - up1, down0 - down1, _checked_time(t))
     )
 
 

@@ -29,7 +29,6 @@ LINDEBERG_THRESHOLD = 0.2
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
-INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True, eq=False)

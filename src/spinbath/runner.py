@@ -1,6 +1,9 @@
 """Experiment orchestration and artifact persistence.
 
-Every run writes its artifacts plus a ``manifest.json`` recording the
+Each experiment and figure is a plain computation from the config to its
+outputs (a file stem, a role and the table columns) and the manifest
+details; it opens no file.  ``run`` alone writes: once every output is
+computed, it writes each one, then a ``manifest.json`` recording the
 fully resolved configuration, the seed/stream layout, the library
 version, and one checksummed entry per output file.  Numeric cells are
 written with shortest round-trip formatting, so identical configs
@@ -13,7 +16,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -30,11 +33,13 @@ from .ensembles import (
     sample_couplings,
 )
 from .errors import ValidationError
-from .limits import check_time_average, gaussian_validity_window, summarize
+from .limits import TimeAverageCheck, check_time_average, gaussian_validity_window, summarize
 from .model import decoherence_trace
 from .spectrum import (
     _CHUNK_ROWS,
+    EnergySpectrum,
     _checked_bins,
+    _uniform_edges,
     default_merge_epsilon,
     enumerate_walks,
     ldos,
@@ -220,50 +225,29 @@ def _histogram_columns(edges: np.ndarray, masses: np.ndarray) -> dict[str, np.nd
     return {"bin_lo": edges[:-1], "bin_hi": edges[1:], "mass": masses}
 
 
-class _Artifacts:
-    """Collects output files and their manifest entries for one run."""
+def _spectrum_columns(spec: EnergySpectrum) -> dict[str, np.ndarray]:
+    return {"energy": spec.energies, "weight": spec.weights}
 
-    def __init__(self, out_dir: Path, fmt: str, quiet: bool) -> None:
-        self.out_dir = out_dir
-        self.fmt = fmt
-        self.quiet = quiet
-        self.entries: list[dict[str, Any]] = []
 
-    def _register(self, path: Path, role: str, digest: str, rows: int | None) -> None:
-        entry: dict[str, Any] = {"file": path.name, "role": role, "sha256": digest}
-        if rows is not None:
-            entry["rows"] = rows
-        self.entries.append(entry)
-        if not self.quiet:
-            print(f"wrote {path}")
+#: One output of a run: its file stem, its manifest role, and its table
+#: columns, or for average-check the TimeAverageCheck written as JSON.
+_Output = tuple[str, str, dict[str, _Column] | TimeAverageCheck]
 
-    def table(self, name: str, role: str, columns: dict[str, _Column]) -> None:
-        path = self.out_dir / f"{name}.{self.fmt}"
-        rows, digest = _write_table(path, columns)
-        self._register(path, role, digest, rows)
-
-    def json_report(self, name: str, role: str, payload: dict[str, Any]) -> None:
-        path = self.out_dir / f"{name}.json"
-        self._register(path, role, _write_json(path, payload), None)
+#: What an experiment returns: its outputs, in order, and manifest details.
+_Run = tuple[list[_Output], dict[str, Any]]
 
 
 def _ensemble_table(
-    art: _Artifacts,
-    name: str,
-    role: str,
-    times: np.ndarray,
-    values: np.ndarray,
-    labels: Sequence[int],
-    floor: float | None,
-) -> None:
-    """Write each row of ``values``, r(t) on the grid ``times``, as a block
-    of table rows tagged with its entry of ``labels``.  The time column is
-    ``times`` tiled, which the writer spells once."""
+    times: np.ndarray, values: np.ndarray, labels: Sequence[int], floor: float | None
+) -> dict[str, _Column]:
+    """The columns of each row of ``values``, r(t) on the grid ``times``,
+    as a block of table rows tagged with its entry of ``labels``.  The
+    time column is ``times`` tiled, which the writer spells once."""
     columns = {"realization": np.repeat(labels, times.size)}
     columns.update(_r_columns(_Tiled(times, len(values)), values.reshape(-1)))
     if floor is not None:
         columns["floor"] = np.full(values.size, floor)
-    art.table(name, role, columns)
+    return columns
 
 
 def _spec(cfg: RunConfig, dist=None, n: int | None = None, realizations: int = 1):
@@ -281,24 +265,23 @@ def _model(cfg: RunConfig, dist=None, n: int | None = None):
     return realization_model(_spec(cfg, dist, n), 0)
 
 
-def _spectrum_for(cfg: RunConfig):
+def _spectrum_for(cfg: RunConfig) -> tuple[EnergySpectrum, dict[str, Any]]:
+    """The walk spectrum of a single-model run, merged if ``cfg.merge``,
+    and the manifest details that say how."""
     couplings, amps = _model(cfg)
     spec = enumerate_walks(couplings, amps)
-    epsilon = None
-    if cfg.merge:
-        epsilon = (
-            cfg.merge_epsilon
-            if cfg.merge_epsilon is not None
-            else default_merge_epsilon(couplings)
-        )
-        spec = merge_degenerate(spec, epsilon)
-    return couplings, amps, spec, epsilon
+    if not cfg.merge:
+        return spec, {"merged": spec.merged}
+    epsilon = (
+        cfg.merge_epsilon if cfg.merge_epsilon is not None else default_merge_epsilon(couplings)
+    )
+    spec = merge_degenerate(spec, epsilon)
+    return spec, {"merged": spec.merged, "merge_epsilon": epsilon}
 
 
-def _run_trace(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
+def _run_trace(cfg: RunConfig) -> _Run:
     couplings, amps = _model(cfg)
     trace = decoherence_trace(couplings, amps, cfg.time_grid())
-    art.table("trace", "trace", _r_columns(trace.times, trace.values))
     # Couplings near the float limit overflow g^2; statistics that are
     # not finite, and the window derived from them, are left out.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -307,34 +290,27 @@ def _run_trace(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     info: dict[str, Any] = {name: v for name, v in stats.items() if math.isfinite(v)}
     if 0.0 < summary.variance < math.inf:
         info["gaussian_window"] = gaussian_validity_window(summary)
-    return info
+    return [("trace", "trace", _r_columns(trace.times, trace.values))], info
 
 
-def _run_spectrum(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
-    _, _, spec, epsilon = _spectrum_for(cfg)
-    art.table("spectrum", "spectrum", {"energy": spec.energies, "weight": spec.weights})
-    info: dict[str, Any] = {"entries": len(spec), "merged": spec.merged}
-    if epsilon is not None:
-        info["merge_epsilon"] = epsilon
-    return info
+def _run_spectrum(cfg: RunConfig) -> _Run:
+    spec, details = _spectrum_for(cfg)
+    return [("spectrum", "spectrum", _spectrum_columns(spec))], {"entries": len(spec), **details}
 
 
-def _run_ldos(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
-    _, _, spec, epsilon = _spectrum_for(cfg)
+def _run_ldos(cfg: RunConfig) -> _Run:
+    spec, details = _spectrum_for(cfg)
     hist = ldos(spec, cfg.bins)
-    art.table("ldos", "ldos", _histogram_columns(hist.edges, hist.masses))
-    info: dict[str, Any] = {"bins": hist.masses.size, "merged": spec.merged}
-    if epsilon is not None:
-        info["merge_epsilon"] = epsilon
-    return info
+    columns = _histogram_columns(hist.edges, hist.masses)
+    return [("ldos", "ldos", columns)], {"bins": hist.masses.size, **details}
 
 
-def _run_ensemble(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
-    _ensemble_artifact(cfg, art, "ensemble", "ensemble-traces", cfg.distribution, cfg.n, None)
-    return {"realizations": cfg.realizations}
+def _run_ensemble(cfg: RunConfig) -> _Run:
+    output = _ensemble_artifact(cfg, "ensemble", "ensemble-traces", cfg.distribution, cfg.n, None)
+    return [output], {"realizations": cfg.realizations}
 
 
-def _run_echo(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
+def _run_echo(cfg: RunConfig) -> _Run:
     couplings, amps = _model(cfg)
     h0 = DiagonalBranchHamiltonian.from_couplings(couplings)
     h1 = -h0
@@ -342,52 +318,42 @@ def _run_echo(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
     values = np.array([echo_amplitude(h0, h1, amps, t) for t in times])
     columns = _r_columns(times, values)
     columns["survival_p"] = np.array([survival_probability(h1, amps, t) for t in times])
-    art.table("echo", "echo-trace", columns)
-    return {"branches": "h0 = (+g, -g); h1 = -h0"}
+    return [("echo", "echo-trace", columns)], {"branches": "h0 = (+g, -g); h1 = -h0"}
 
 
-def _run_average_check(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
+def _run_average_check(cfg: RunConfig) -> _Run:
     couplings, amps = _model(cfg)
     check = check_time_average(couplings, amps, horizon=cfg.horizon, samples=cfg.samples)
-    art.json_report(
-        "average_check",
-        "average-check",
-        {
-            "analytic": check.analytic,
-            "empirical": check.empirical,
-            "stderr": check.stderr,
-            "n_sigma": check.n_sigma,
-            "horizon": check.horizon,
-            "samples": check.samples,
-        },
-    )
-    return {"horizon": check.horizon, "samples": check.samples}
+    details = {"horizon": check.horizon, "samples": check.samples}
+    return [("average_check", "average-check", check)], details
 
 
-def _coupling_histogram(cfg: RunConfig, art: _Artifacts, name: str, dist) -> None:
+def _coupling_histogram(cfg: RunConfig, name: str, dist) -> _Output:
     draws = sample_couplings(dist, _HIST_DRAWS, cfg.seed, stream=_HIST_STREAM).couplings
     bins = math.ceil(math.sqrt(_HIST_DRAWS))
+    # np.histogram's own edges, checked as ldos checks its energy edges.
+    _uniform_edges(float(draws.min()), float(draws.max()), bins, "coupling")
     counts, edges = np.histogram(draws, bins=bins)
-    art.table(name, "coupling-histogram", _histogram_columns(edges, counts / draws.size))
+    return name, "coupling-histogram", _histogram_columns(edges, counts / draws.size)
 
 
-def _energy_histogram(cfg: RunConfig, art: _Artifacts, name: str, dist, n: int) -> None:
+def _energy_histogram(cfg: RunConfig, name: str, dist, n: int) -> _Output:
     couplings, amps = _model(cfg, dist, n)
     hist = ldos(enumerate_walks(couplings, amps), cfg.bins)
-    art.table(name, f"energy-histogram-n{n}", _histogram_columns(hist.edges, hist.masses))
+    return name, f"energy-histogram-n{n}", _histogram_columns(hist.edges, hist.masses)
 
 
 def _ensemble_artifact(
-    cfg: RunConfig, art: _Artifacts, name: str, role: str, dist, n: int, floor: float | None
-) -> None:
+    cfg: RunConfig, name: str, role: str, dist, n: int, floor: float | None
+) -> _Output:
     spec = _spec(cfg, dist, n, cfg.realizations)
     result = ensemble_average_trace(spec, cfg.time_grid())
     values = np.concatenate([result.values, result.mean.values[np.newaxis]])
     labels = [*range(spec.realizations), -1]
-    _ensemble_table(art, name, role, result.mean.times, values, labels, floor)
+    return name, role, _ensemble_table(result.mean.times, values, labels, floor)
 
 
-def _emit_fig1(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
+def _emit_fig1(cfg: RunConfig) -> _Run:
     equal_dist = (
         cfg.distribution
         if cfg.distribution.kind == "fixed"
@@ -399,61 +365,58 @@ def _emit_fig1(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
         else CouplingDistribution.gaussian(0.0, 1.0)
     )
     couplings, amps = _model(cfg, equal_dist)
-    merged = merge_degenerate(
-        enumerate_walks(couplings, amps), default_merge_epsilon(couplings)
-    )
-    art.table(
-        "fig1_equal_spectrum",
-        "equal-couplings",
-        {"energy": merged.energies, "weight": merged.weights},
-    )
+    merged = merge_degenerate(enumerate_walks(couplings, amps), default_merge_epsilon(couplings))
     walk_couplings, _ = _model(cfg, walk_dist)
     walk_spec = enumerate_walks(walk_couplings, amps)
-    art.table(
-        "fig1_walk_spectrum",
-        "distinct-couplings",
-        {"energy": walk_spec.energies, "weight": walk_spec.weights},
-    )
-    return {"equal_distribution": str(equal_dist), "walk_distribution": str(walk_dist)}
+    outputs = [
+        ("fig1_equal_spectrum", "equal-couplings", _spectrum_columns(merged)),
+        ("fig1_walk_spectrum", "distinct-couplings", _spectrum_columns(walk_spec)),
+    ]
+    return outputs, {"equal_distribution": str(equal_dist), "walk_distribution": str(walk_dist)}
 
 
-def _emit_fig2(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
+def _emit_fig2(cfg: RunConfig) -> _Run:
     dist = cfg.distribution
-    _coupling_histogram(cfg, art, "fig2_couplings_hist", dist)
-    for n in (6, 24):
-        _energy_histogram(cfg, art, f"fig2_energy_hist_n{n}", dist, n)
-    _ensemble_artifact(cfg, art, "fig2_traces_n6", "traces-dashed-n6", dist, 6, None)
-    _ensemble_artifact(cfg, art, "fig2_traces_n24", "traces-thin-n24", dist, 24, None)
-    return {"distribution": str(dist), "mean_role": "rows with realization = -1 (bold)"}
+    outputs = [
+        _coupling_histogram(cfg, "fig2_couplings_hist", dist),
+        *(_energy_histogram(cfg, f"fig2_energy_hist_n{n}", dist, n) for n in (6, 24)),
+        _ensemble_artifact(cfg, "fig2_traces_n6", "traces-dashed-n6", dist, 6, None),
+        _ensemble_artifact(cfg, "fig2_traces_n24", "traces-thin-n24", dist, 24, None),
+    ]
+    return outputs, {"distribution": str(dist), "mean_role": "rows with realization = -1 (bold)"}
 
 
-def _emit_fig3(cfg: RunConfig, art: _Artifacts) -> dict[str, Any]:
+def _emit_fig3(cfg: RunConfig) -> _Run:
     dist = (
         cfg.distribution
         if cfg.distribution.kind == "lorentzian"
         else CouplingDistribution.lorentzian(0.0, 0.25)
     )
-    _coupling_histogram(cfg, art, "fig3_couplings_hist", dist)
-    _energy_histogram(cfg, art, f"fig3_energy_hist_n{cfg.n}", dist, cfg.n)
     floor = 2.0 ** (-cfg.n / 2.0)
-    _ensemble_artifact(cfg, art, f"fig3_traces_n{cfg.n}", f"traces-n{cfg.n}", dist, cfg.n, floor)
     couplings, amps = _model(cfg, dist, 100)
     trace = decoherence_trace(couplings, amps, cfg.time_grid())
-    row = trace.values[np.newaxis]
-    _ensemble_table(art, "fig3_trace_n100", "trace-thin-n100", trace.times, row, [0], 2.0**-50)
-    return {"distribution": str(dist), "saturation_floor": floor}
+    n100 = _ensemble_table(trace.times, trace.values[np.newaxis], [0], 2.0**-50)
+    outputs = [
+        _coupling_histogram(cfg, "fig3_couplings_hist", dist),
+        _energy_histogram(cfg, f"fig3_energy_hist_n{cfg.n}", dist, cfg.n),
+        _ensemble_artifact(cfg, f"fig3_traces_n{cfg.n}", f"traces-n{cfg.n}", dist, cfg.n, floor),
+        ("fig3_trace_n100", "trace-thin-n100", n100),
+    ]
+    return outputs, {"distribution": str(dist), "saturation_floor": floor}
 
 
-_EXPERIMENT_RUNNERS = {
+#: Each experiment, and each figure by its tag: cfg -> (outputs, details).
+_EXPERIMENTS = {
     "trace": _run_trace,
     "spectrum": _run_spectrum,
     "ldos": _run_ldos,
     "ensemble": _run_ensemble,
     "echo": _run_echo,
     "average-check": _run_average_check,
+    "fig1": _emit_fig1,
+    "fig2": _emit_fig2,
+    "fig3": _emit_fig3,
 }
-
-_FIGURE_EMITTERS = {"fig1": _emit_fig1, "fig2": _emit_fig2, "fig3": _emit_fig3}
 
 
 def _config_dict(cfg: RunConfig) -> dict[str, Any]:
@@ -477,8 +440,11 @@ def _config_dict(cfg: RunConfig) -> dict[str, Any]:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one experiment, writing artifacts and a manifest.
+    """Execute one experiment: compute every output, then write each one
+    and a manifest.
 
+    The output directory is created first, but no file is opened until
+    every output is computed, so a run that raises writes no file.
     Returns 0 on success; validation, capacity and I/O problems raise and
     are mapped to exit codes by the CLI.
     """
@@ -486,17 +452,25 @@ def run(cfg: RunConfig) -> int:
         _checked_bins(cfg.bins)  # before any walk is enumerated
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    art = _Artifacts(out_dir, cfg.format, cfg.quiet)
-    if cfg.experiment == "figure":
-        info = _FIGURE_EMITTERS[cfg.figure](cfg, art)
-    else:
-        info = _EXPERIMENT_RUNNERS[cfg.experiment](cfg, art)
+    outputs, details = _EXPERIMENTS[cfg.figure or cfg.experiment](cfg)
+    entries: list[dict[str, Any]] = []
+    for stem, role, data in outputs:
+        if isinstance(data, TimeAverageCheck):
+            path = out_dir / f"{stem}.json"
+            entry = {"file": path.name, "role": role, "sha256": _write_json(path, asdict(data))}
+        else:
+            path = out_dir / f"{stem}.{cfg.format}"
+            rows, digest = _write_table(path, data)
+            entry = {"file": path.name, "role": role, "sha256": digest, "rows": rows}
+        entries.append(entry)
+        if not cfg.quiet:
+            print(f"wrote {path}")
     manifest = {
         "version": __version__,
         "config": _config_dict(cfg),
         "seed_streams": "realization i: couplings stream 2i, amplitudes stream 2i+1",
-        "details": info,
-        "outputs": art.entries,
+        "details": details,
+        "outputs": entries,
     }
     _write_json(out_dir / "manifest.json", manifest)
     if not cfg.quiet:

@@ -308,6 +308,25 @@ def _gaps_above(e: np.ndarray, threshold: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _uniform_edges(lo: float, hi: float, bins: int, what: str) -> np.ndarray:
+    """The edges np.histogram gives ``bins`` uniform bins over data from
+    lo to hi, a single value getting a unit-width bin around it.
+
+    Raises ValidationError where np.histogram would fail with "Too many
+    bins for data range", or give edges that are not finite: the edges
+    must increase strictly.
+    """
+    first, last = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):  # last - first may overflow
+        edges = np.linspace(first, last, bins + 1)
+    if not np.all(edges[:-1] < edges[1:]):
+        raise ValidationError(
+            f"{bins} bins cannot split the {what} range [{lo!r}, {hi!r}] "
+            "into bins with distinct finite edges"
+        )
+    return edges
+
+
 def default_merge_epsilon(couplings: CouplingSet) -> float:
     """Default degeneracy window: 1e-9 times the largest coupling magnitude."""
     return 1e-9 * float(np.max(np.abs(couplings.couplings)))
@@ -333,15 +352,8 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
         lo, hi = float(e[0]), float(e[-1])
     else:
         lo, hi = float(e.min()), float(e.max())
-    first, last = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
-    # np.histogram's own edges and its own "too many bins" test.
-    edges = np.linspace(first, last, bins + 1)
-    if not np.all(edges[:-1] < edges[1:]):
-        raise ValidationError(
-            f"{bins} bins cannot split the energy range [{lo!r}, {hi!r}] "
-            "into bins with distinct finite edges"
-        )
-    if spectrum.merged and (last - first) / bins >= np.finfo(np.float64).smallest_normal:
+    edges = _uniform_edges(lo, hi, bins, "energy")
+    if spectrum.merged and (edges[-1] - edges[0]) / bins >= np.finfo(np.float64).smallest_normal:
         masses = _sorted_masses(e, spectrum.weights, edges)
     else:
         # Walk order, or a subnormal bin width (see _sorted_masses):

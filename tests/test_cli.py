@@ -262,6 +262,50 @@ def test_overflowing_phases_exit_2_without_writing(tmp_path, capsys, command):
     assert list(out.iterdir()) == []
 
 
+def test_echo_near_the_float_limit_matches_trace(tmp_path):
+    # 2g overflows at g = 1e308, but g t does not at t <= 1e-300.
+    model = ["--n", "2", "--couplings", "fixed(1e308)", "--stop", "1e-300", "--steps", "3"]
+    assert main(["echo", *model, "--out-dir", str(tmp_path / "echo"), "--quiet"]) == 0
+    assert main(["trace", *model, "--out-dir", str(tmp_path / "trace"), "--quiet"]) == 0
+    echo = (tmp_path / "echo" / "echo.csv").read_text(encoding="utf-8").splitlines()
+    trace = (tmp_path / "trace" / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.rpartition(",")[0] for row in echo] == trace
+
+
+def test_failing_figure_writes_no_file(tmp_path, capsys):
+    # The N = 100 trace overflows after the coupling and energy histograms
+    # are computed; none of the figure's tables may be written.
+    out = tmp_path / "fig3"
+    argv = ["figure", "--which", "fig3", "--couplings", "lorentzian(0, 1e300)", "--n", "4",
+            "--realizations", "2", "--stop", "1e8", "--steps", "5", "--out-dir", str(out)]
+    with pytest.warns(RuntimeWarning):
+        code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error[config]: |r| must not exceed 1" in captured.err
+    assert "wrote" not in captured.out
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--which", "fig2", "--couplings", "fixed(1e20)", "--n", "4"],
+        ["--which", "fig3", "--couplings", "lorentzian(1e20, 1e-10)"],
+        ["--which", "fig2", "--couplings", "fixed(1e308)"],
+        ["--which", "fig2", "--couplings", "gaussian(0, 3e307)"],
+    ],
+    ids=["fixed-1e20", "lorentzian-1e20", "fixed-1e308", "gaussian-3e307"],
+)
+def test_coupling_range_too_narrow_or_wide_for_histogram_exits_2(tmp_path, capsys, args):
+    # numpy would fail with "Too many bins for data range" and a traceback.
+    out = tmp_path / "hist"
+    argv = ["figure", *args, "--realizations", "2", "--steps", "3", "--out-dir", str(out)]
+    assert main([*argv, "--quiet"]) == 2
+    assert "error[config]: 100 bins cannot split the coupling range [" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_overflowing_grid_width_exits_2(tmp_path, capsys):
     # np.linspace would sample t = nan, inf, 1e308.
     out = tmp_path / "wide"

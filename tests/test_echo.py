@@ -45,6 +45,18 @@ class TestEchoAmplitude:
                 echo = sb.echo_amplitude(h0, h1, amps, t)
                 assert echo == sb.decoherence_factor(c, amps, t)
 
+    def test_opposite_branches_near_the_float_limit(self):
+        # 2g overflows for |g| above half the float limit; the halved
+        # rates never form it, and keep the bits of the decoherence factor.
+        rng = np.random.default_rng(4)
+        c = sb.CouplingSet([1e308, -1e308, 3e307, 1.5])
+        _, amps = random_model(rng, 4)
+        h0 = sb.DiagonalBranchHamiltonian.from_couplings(c)
+        for t in (1e-300, -2.5e-301, 3.7e-308):
+            echo = np.array([sb.echo_amplitude(h0, -h0, amps, t)])
+            factor = np.array([sb.decoherence_factor(c, amps, t)])
+            assert echo.view(np.int64).tolist() == factor.view(np.int64).tolist()
+
     def test_zero_reference_branch_gives_survival_amplitude(self):
         rng = np.random.default_rng(2)
         n = 7

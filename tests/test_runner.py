@@ -297,14 +297,14 @@ def test_ensemble_table_matches_flat_time_column(tmp_path, case, fmt):
     # the finite extremes.  A non-finite time is refused through the tile
     # before the file is opened, as it is in a flat column.
     times, values, labels, floor = _ensemble_cases()[case]
-    art = runner._Artifacts(tmp_path, fmt, quiet=True)
+    columns = runner._ensemble_table(times, values, labels, floor)
     path = tmp_path / f"table.{fmt}"
     if case == "nonfinite":
         with pytest.raises(sb.ValidationError, match="column 't'"):
-            runner._ensemble_table(art, "table", "role", times, values, labels, floor)
-        assert not path.exists() and art.entries == []
+            runner._write_table(path, columns)
+        assert not path.exists()
         return
-    runner._ensemble_table(art, "table", "role", times, values, labels, floor)
+    written_rows, digest = runner._write_table(path, columns)
     rows = values.shape[0]
     flat = {"realization": np.repeat(labels, times.size)}
     flat.update(runner._r_columns(np.tile(times, rows), np.concatenate(list(values))))
@@ -312,8 +312,8 @@ def test_ensemble_table_matches_flat_time_column(tmp_path, case, fmt):
         flat["floor"] = np.full(len(flat["realization"]), floor)
     data = path.read_bytes()
     assert data == _reference_table(path, flat).encode("utf-8")
-    assert art.entries[0]["sha256"] == hashlib.sha256(data).hexdigest()
-    assert art.entries[0]["rows"] == len(flat["t"])
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert written_rows == len(flat["t"])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

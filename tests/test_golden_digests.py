@@ -31,6 +31,8 @@ SEED = 7
 _LORENTZ = sb.CouplingDistribution.lorentzian(0.0, 0.25)
 _UNIFORM = sb.CouplingDistribution.uniform(0.5, 2.0)
 _RANDOM = sb.AmplitudeRule.random()
+_FIXED = sb.CouplingDistribution.fixed(0.5)
+_LORENTZ_HALF = sb.CouplingDistribution.lorentzian(0.0, 0.5)
 
 #: Case name -> RunConfig fields besides seed, format and out_dir.
 CASES = {
@@ -47,8 +49,18 @@ CASES = {
         experiment="average-check", n=8, distribution=_UNIFORM, amplitudes=_RANDOM, samples=1024
     ),
     "fig1": dict(experiment="figure", figure="fig1", n=6),
+    # Equal couplings: the level gap is 1.0, so merging with the
+    # configured epsilon would change the spectrum; fig1 ignores it.
+    "fig1-fixed": dict(
+        experiment="figure", figure="fig1", n=6, distribution=_FIXED, merge_epsilon=1.5
+    ),
     "fig2": dict(experiment="figure", figure="fig2", realizations=3, stop=2.0, steps=21),
     "fig3": dict(experiment="figure", figure="fig3", n=8, realizations=3, stop=3.0, steps=21),
+    # A Lorentzian is kept as given; any other distribution is swapped.
+    "fig3-lorentzian": dict(
+        experiment="figure", figure="fig3", n=8, distribution=_LORENTZ_HALF,
+        realizations=3, stop=3.0, steps=21,
+    ),
 }
 
 FORMATS = ("csv", "json")

@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -250,19 +250,13 @@ def _ensemble_table(
     return columns
 
 
-def _spec(cfg: RunConfig, dist=None, n: int | None = None, realizations: int = 1):
-    return EnsembleSpec(
-        distribution=cfg.distribution if dist is None else dist,
-        amplitudes=cfg.amplitudes,
-        n=cfg.n if n is None else n,
-        realizations=realizations,
-        seed=cfg.seed,
-    )
+def _spec(cfg: RunConfig) -> EnsembleSpec:
+    return EnsembleSpec(cfg.distribution, cfg.amplitudes, cfg.n, cfg.realizations, cfg.seed)
 
 
-def _model(cfg: RunConfig, dist=None, n: int | None = None):
+def _model(cfg: RunConfig):
     """Couplings and amplitudes of a single-model run: realization 0."""
-    return realization_model(_spec(cfg, dist, n), 0)
+    return realization_model(_spec(cfg), 0)
 
 
 def _spectrum_for(cfg: RunConfig) -> tuple[EnergySpectrum, dict[str, Any]]:
@@ -306,7 +300,7 @@ def _run_ldos(cfg: RunConfig) -> _Run:
 
 
 def _run_ensemble(cfg: RunConfig) -> _Run:
-    output = _ensemble_artifact(cfg, "ensemble", "ensemble-traces", cfg.distribution, cfg.n, None)
+    output = _ensemble_artifact(cfg, "ensemble", "ensemble-traces")
     return [output], {"realizations": cfg.realizations}
 
 
@@ -328,8 +322,8 @@ def _run_average_check(cfg: RunConfig) -> _Run:
     return [("average_check", "average-check", check)], details
 
 
-def _coupling_histogram(cfg: RunConfig, name: str, dist) -> _Output:
-    draws = sample_couplings(dist, _HIST_DRAWS, cfg.seed, stream=_HIST_STREAM).couplings
+def _coupling_histogram(cfg: RunConfig, name: str) -> _Output:
+    draws = sample_couplings(cfg.distribution, _HIST_DRAWS, cfg.seed, stream=_HIST_STREAM).couplings
     bins = math.ceil(math.sqrt(_HIST_DRAWS))
     # np.histogram's own edges, checked as ldos checks its energy edges.
     _uniform_edges(float(draws.min()), float(draws.max()), bins, "coupling")
@@ -337,72 +331,63 @@ def _coupling_histogram(cfg: RunConfig, name: str, dist) -> _Output:
     return name, "coupling-histogram", _histogram_columns(edges, counts / draws.size)
 
 
-def _energy_histogram(cfg: RunConfig, name: str, dist, n: int) -> _Output:
-    couplings, amps = _model(cfg, dist, n)
-    hist = ldos(enumerate_walks(couplings, amps), cfg.bins)
-    return name, f"energy-histogram-n{n}", _histogram_columns(hist.edges, hist.masses)
+def _energy_histogram(cfg: RunConfig, name: str) -> _Output:
+    hist = ldos(enumerate_walks(*_model(cfg)), cfg.bins)
+    return name, f"energy-histogram-n{cfg.n}", _histogram_columns(hist.edges, hist.masses)
 
 
-def _ensemble_artifact(
-    cfg: RunConfig, name: str, role: str, dist, n: int, floor: float | None
-) -> _Output:
-    spec = _spec(cfg, dist, n, cfg.realizations)
-    result = ensemble_average_trace(spec, cfg.time_grid())
+def _ensemble_artifact(cfg: RunConfig, name: str, role: str, floor: float | None = None) -> _Output:
+    result = ensemble_average_trace(_spec(cfg), cfg.time_grid())
     values = np.concatenate([result.values, result.mean.values[np.newaxis]])
-    labels = [*range(spec.realizations), -1]
+    labels = [*range(cfg.realizations), -1]
     return name, role, _ensemble_table(result.mean.times, values, labels, floor)
 
 
 def _emit_fig1(cfg: RunConfig) -> _Run:
-    equal_dist = (
-        cfg.distribution
-        if cfg.distribution.kind == "fixed"
-        else CouplingDistribution.fixed(1.0)
-    )
-    walk_dist = (
-        cfg.distribution
-        if cfg.distribution.kind != "fixed"
-        else CouplingDistribution.gaussian(0.0, 1.0)
-    )
-    couplings, amps = _model(cfg, equal_dist)
-    merged = merge_degenerate(enumerate_walks(couplings, amps), default_merge_epsilon(couplings))
-    walk_couplings, _ = _model(cfg, walk_dist)
-    walk_spec = enumerate_walks(walk_couplings, amps)
+    # Amplitudes come from stream 1 whatever the distribution, so both
+    # spectra share them.  The equal spectrum merges with the default epsilon.
+    if cfg.distribution.kind == "fixed":
+        equal, walk = cfg, replace(cfg, distribution=CouplingDistribution.gaussian(0.0, 1.0))
+    else:
+        equal, walk = replace(cfg, distribution=CouplingDistribution.fixed(1.0)), cfg
+    merged, _ = _spectrum_for(replace(equal, merge=True, merge_epsilon=None))
+    walk_spec, _ = _spectrum_for(replace(walk, merge=False))
     outputs = [
         ("fig1_equal_spectrum", "equal-couplings", _spectrum_columns(merged)),
         ("fig1_walk_spectrum", "distinct-couplings", _spectrum_columns(walk_spec)),
     ]
-    return outputs, {"equal_distribution": str(equal_dist), "walk_distribution": str(walk_dist)}
+    return outputs, {
+        "equal_distribution": str(equal.distribution),
+        "walk_distribution": str(walk.distribution),
+    }
 
 
 def _emit_fig2(cfg: RunConfig) -> _Run:
-    dist = cfg.distribution
+    n6, n24 = replace(cfg, n=6), replace(cfg, n=24)
     outputs = [
-        _coupling_histogram(cfg, "fig2_couplings_hist", dist),
-        *(_energy_histogram(cfg, f"fig2_energy_hist_n{n}", dist, n) for n in (6, 24)),
-        _ensemble_artifact(cfg, "fig2_traces_n6", "traces-dashed-n6", dist, 6, None),
-        _ensemble_artifact(cfg, "fig2_traces_n24", "traces-thin-n24", dist, 24, None),
+        _coupling_histogram(cfg, "fig2_couplings_hist"),
+        _energy_histogram(n6, "fig2_energy_hist_n6"),
+        _energy_histogram(n24, "fig2_energy_hist_n24"),
+        _ensemble_artifact(n6, "fig2_traces_n6", "traces-dashed-n6"),
+        _ensemble_artifact(n24, "fig2_traces_n24", "traces-thin-n24"),
     ]
-    return outputs, {"distribution": str(dist), "mean_role": "rows with realization = -1 (bold)"}
+    mean_role = "rows with realization = -1 (bold)"
+    return outputs, {"distribution": str(cfg.distribution), "mean_role": mean_role}
 
 
 def _emit_fig3(cfg: RunConfig) -> _Run:
-    dist = (
-        cfg.distribution
-        if cfg.distribution.kind == "lorentzian"
-        else CouplingDistribution.lorentzian(0.0, 0.25)
-    )
+    if cfg.distribution.kind != "lorentzian":
+        cfg = replace(cfg, distribution=CouplingDistribution.lorentzian(0.0, 0.25))
     floor = 2.0 ** (-cfg.n / 2.0)
-    couplings, amps = _model(cfg, dist, 100)
-    trace = decoherence_trace(couplings, amps, cfg.time_grid())
+    trace = decoherence_trace(*_model(replace(cfg, n=100)), cfg.time_grid())
     n100 = _ensemble_table(trace.times, trace.values[np.newaxis], [0], 2.0**-50)
     outputs = [
-        _coupling_histogram(cfg, "fig3_couplings_hist", dist),
-        _energy_histogram(cfg, f"fig3_energy_hist_n{cfg.n}", dist, cfg.n),
-        _ensemble_artifact(cfg, f"fig3_traces_n{cfg.n}", f"traces-n{cfg.n}", dist, cfg.n, floor),
+        _coupling_histogram(cfg, "fig3_couplings_hist"),
+        _energy_histogram(cfg, f"fig3_energy_hist_n{cfg.n}"),
+        _ensemble_artifact(cfg, f"fig3_traces_n{cfg.n}", f"traces-n{cfg.n}", floor),
         ("fig3_trace_n100", "trace-thin-n100", n100),
     ]
-    return outputs, {"distribution": str(dist), "saturation_floor": floor}
+    return outputs, {"distribution": str(cfg.distribution), "saturation_floor": floor}
 
 
 #: Each experiment, and each figure by its tag: cfg -> (outputs, details).

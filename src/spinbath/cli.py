@@ -18,10 +18,10 @@ from .errors import CapacityError, DimensionMismatchError, ValidationError
 #: [grid] ones that every subcommand takes)
 _COMMANDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "trace": ("trace", "run a trace experiment", ()),
-    "ensemble": ("ensemble", "run a ensemble experiment", ()),
-    "echo": ("echo", "run a echo experiment", ()),
+    "ensemble": ("ensemble", "run an ensemble experiment", ()),
+    "echo": ("echo", "run an echo experiment", ()),
     "spectrum": ("spectrum", "run a spectrum experiment", ("merge", "merge_epsilon", "bins")),
-    "ldos": ("ldos", "run a ldos experiment", ("merge", "merge_epsilon", "bins")),
+    "ldos": ("ldos", "run an ldos experiment", ("merge", "merge_epsilon", "bins")),
     "check-average": (
         "average-check", "compare analytic vs empirical long-time average", ("horizon", "samples")
     ),
@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         return run(build_config(file_values, flags))
     except (ConfigError, ValidationError, DimensionMismatchError) as exc:
         return _fail("config", exc, 2)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:  # numpy's, for an array beyond memory
         return _fail("capacity", exc, 3)
     except OSError as exc:
         return _fail("io", exc, 4)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -97,11 +98,20 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
             object.__setattr__(self, name, value)
         # Checked whatever the experiment: every value lands in manifest.json,
-        # which holds strict JSON (no NaN or Infinity).
+        # which holds strict JSON (no NaN or Infinity), as a float.
         for name in ("start", "stop", "merge_epsilon", "horizon"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name in ("merge_epsilon", "horizon"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond every float
+                value = math.inf
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.merge_epsilon is not None and self.merge_epsilon < 0.0:
             raise ConfigError("merge_epsilon must be >= 0")
         if self.horizon is not None and self.horizon <= 0.0:

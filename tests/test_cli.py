@@ -1,11 +1,19 @@
 """Tests for the command-line surface: overrides, exit codes, script wiring."""
 
+import contextlib
+import io
 import json
+import math
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinbath import runner
 from spinbath.cli import main
@@ -69,6 +77,19 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error[capacity]" in err and "2^30" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["trace", "--steps", str(1 << 59)], ["check-average", "--samples", str(1 << 59)]]
+)
+def test_size_beyond_the_address_space_is_a_capacity_error(tmp_path, capsys, argv):
+    # A 4 EiB array: numpy's MemoryError is raised at once, with nothing
+    # allocated, and was a traceback with exit 1.
+    out = tmp_path / "huge"
+    assert main([*argv, "--out-dir", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "error[capacity]: Unable to allocate 4.00 EiB" in err
+    assert list(out.iterdir()) == []
 
 
 def test_io_error_exit_code(tmp_path, capsys):
@@ -463,3 +484,90 @@ def test_help_lists_every_flag_a_subcommand_takes(capsys, command):
     assert exit_info.value.code == 0
     listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
     assert listed == COMMON_FLAGS | EXTRA_FLAGS[command]
+
+
+#: Floats at every scale of the double range, both zeros' neighbours included.
+EXTREMES = [
+    0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e-100, 1.0, -1.0,
+    1e100, 1e300, 1e308, -1e308, sys.float_info.max, -sys.float_info.max,
+]
+
+#: Subcommand argv heads, each with the flags only it takes.  fig2 is left
+#: out: it always enumerates 2^24 walks.
+_HEADS = {
+    "trace": (["trace"], ()),
+    "spectrum": (["spectrum", "--bins=7"], ("merge_epsilon",)),
+    "ldos": (["ldos", "--bins=7"], ("merge_epsilon",)),
+    "ensemble": (["ensemble"], ()),
+    "echo": (["echo"], ()),
+    "check-average": (["check-average", "--samples=64"], ("horizon",)),
+    "fig1": (["figure", "--which=fig1", "--bins=7"], ()),
+    "fig3": (["figure", "--which=fig3", "--bins=7"], ()),
+}
+
+_ARITY = {"fixed": 1, "uniform": 2, "gaussian": 2, "lorentzian": 2}
+
+
+@st.composite
+def extreme_argvs(draw):
+    """A CLI argv whose floats come from EXTREMES, at sizes that allocate
+    a few MiB at most.  Every value is spelt ``--flag=value``, since
+    argparse reads the -1e308 of ``--start -1e308`` as a flag."""
+    head, extra = _HEADS[draw(st.sampled_from(sorted(_HEADS)))]
+    value = st.sampled_from(EXTREMES)
+    kind = draw(st.sampled_from(sorted(_ARITY)))
+    params = ", ".join(repr(draw(value)) for _ in range(_ARITY[kind]))
+    argv = [
+        *head,
+        f"--n={draw(st.integers(1, 8))}",
+        f"--couplings={kind}({params})",
+        f"--amplitudes={draw(st.sampled_from(['equal', 'fixed(0.3)', 'random']))}",
+        f"--format={draw(st.sampled_from(['csv', 'json']))}",
+        f"--start={draw(value)!r}",
+        f"--stop={draw(value)!r}",
+        "--steps=3",
+        "--realizations=2",
+    ]
+    if "merge_epsilon" in extra:
+        argv += [f"--merge-epsilon={draw(value)!r}", draw(st.sampled_from(["--merge", "--no-merge"]))]
+    if "horizon" in extra:
+        argv.append(f"--horizon={draw(value)!r}")
+    return argv
+
+
+def _assert_finite_outputs(out: Path) -> None:
+    """Every output the manifest lists exists, every JSON file is strict
+    JSON and every CSV cell is a finite number."""
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert all((out / entry["file"]).is_file() for entry in manifest["outputs"])
+    for path in sorted(out.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_reject_constant)
+            continue
+        for row in text.splitlines()[1:]:
+            assert all(math.isfinite(float(cell)) for cell in row.split(",")), (path.name, row)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=extreme_argvs())
+@example(argv=["echo", "--n=2", "--couplings=fixed(1e308)", "--stop=10", "--steps=3"])
+@example(
+    argv=["figure", "--which=fig3", "--couplings=lorentzian(0, 1e300)", "--n=4",
+          "--realizations=2", "--stop=1e8", "--steps=5"]
+)
+@example(argv=["trace", "--start=-1e308", "--stop=1e308"])
+def test_extreme_floats_keep_the_exit_contract(argv):
+    # Exit 0 with finite, strict outputs, or exit 2 or 3 with nothing
+    # written.  RuntimeWarnings are ignored, as a user running the CLI
+    # sees them: printed, and not raised.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, f"--out-dir={out}", "--quiet"])
+        if code == 0:
+            _assert_finite_outputs(out)
+        else:
+            assert code in (2, 3), err.getvalue()
+            assert not out.exists() or list(out.iterdir()) == [], err.getvalue()

@@ -167,3 +167,42 @@ def test_typed_fields_accepted():
         {}, {"experiment": "ldos", "merge": True, "quiet": False, "distribution": dist, "amplitudes": rule}
     )
     assert (cfg.merge, cfg.quiet, cfg.distribution, cfg.amplitudes) == (True, False, dist, rule)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("stop", True),
+        ("start", "abc"),
+        ("merge_epsilon", False),
+        ("merge_epsilon", "1e-9"),
+        ("horizon", np.bool_(True)),
+        ("horizon", [40.0]),
+    ],
+)
+def test_float_settings_must_be_numbers(field, value):
+    # float() would take True as 1.0 and the text "1e-9" as a number;
+    # "abc" raised a bare TypeError from math.isfinite.
+    with pytest.raises(ConfigError, match=f"{field} must be a number"):
+        RunConfig(experiment="trace", **{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be a number"):
+        build_config({}, {"experiment": "trace", field: value})
+
+
+def test_float_settings_stored_as_float(tmp_path):
+    # stop=2 wrote "stop": 2 to the manifest where --stop 2 writes 2.0.
+    cfg = RunConfig(
+        experiment="trace", start=0, stop=2, merge_epsilon=np.float32(0.5), horizon=np.int64(40),
+        steps=3, out_dir=tmp_path, quiet=True,
+    )
+    values = (cfg.start, cfg.stop, cfg.merge_epsilon, cfg.horizon)
+    assert values == (0.0, 2.0, 0.5, 40.0)
+    assert all(type(v) is float for v in values)
+    sb.run(cfg)
+    manifest = (tmp_path / "manifest.json").read_text(encoding="utf-8")
+    assert '"start": 0.0' in manifest and '"stop": 2.0' in manifest
+
+
+def test_int_beyond_every_float_is_not_finite():
+    with pytest.raises(ConfigError, match="horizon must be finite"):
+        RunConfig(experiment="trace", horizon=10**400)

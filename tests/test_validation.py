@@ -1,0 +1,83 @@
+"""Each documented rejection raises its error with a message that names the fault.
+
+These are the checks that no other test reaches: constructors and
+samplers fed an empty, non-finite, unnormalized or out-of-range input.
+"""
+
+import math
+
+import pytest
+
+import spinbath as sb
+from spinbath.config import ConfigError, load_config
+
+_FIXED = sb.CouplingDistribution.fixed(1.0)
+_EQUAL = sb.AmplitudeRule.equal()
+
+
+def _load_sectionless(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("n = 3\n", encoding="utf-8")
+    return load_config(path)
+
+
+#: Case -> (a call taking tmp_path, a fragment of its message).  Every
+#: case raises ValidationError, save the config file's ConfigError.
+CASES = {
+    "amplitudes-empty": (lambda _: sb.EnvironmentAmplitudes([], []), "non-empty 1-d"),
+    "amplitudes-nan": (lambda _: sb.EnvironmentAmplitudes([math.nan], [0.0]), "must be finite"),
+    "up-weight-above-1": (
+        lambda _: sb.EnvironmentAmplitudes.from_up_weights([1.5]), "must lie in [0, 1]"
+    ),
+    "grid-infinite": (lambda _: sb.TimeGrid(0.0, math.inf, 3), "endpoints must be finite"),
+    "trace-lengths": (
+        lambda _: sb.DecoherenceTrace([0.0, 1.0], [1.0], 2), "matching 1-d arrays"
+    ),
+    "spectrum-empty": (lambda _: sb.EnergySpectrum([], [], 1), "non-empty 1-d arrays"),
+    "spectrum-sum": (
+        lambda _: sb.EnergySpectrum([0.0, 1.0], [0.5, 0.6], 1), "weights sum to 1.1"
+    ),
+    "ldos-edge-count": (
+        lambda _: sb.LdosHistogram([0.0, 1.0], [0.5, 0.5]), "len(edges) == len(masses) + 1"
+    ),
+    "ldos-sum": (lambda _: sb.LdosHistogram([0.0, 1.0, 2.0], [0.6, 0.6]), "sum to 1"),
+    "hamiltonian-empty": (
+        lambda _: sb.DiagonalBranchHamiltonian([], []), "non-empty 1-d sequence"
+    ),
+    "distribution-infinite": (
+        lambda _: sb.CouplingDistribution("gaussian", (0.0, math.inf)), "must be finite"
+    ),
+    "rule-unknown": (lambda _: sb.AmplitudeRule("bogus"), "unknown amplitude rule 'bogus'"),
+    "rule-equal-parameter": (
+        lambda _: sb.AmplitudeRule("equal", 0.5), "equal amplitude rule takes no parameter"
+    ),
+    "rule-parse-two-parameters": (
+        lambda _: sb.AmplitudeRule.parse("fixed(0.1, 0.2)"), "takes one parameter"
+    ),
+    "couplings-none": (lambda _: sb.sample_couplings(_FIXED, 0, 7), "at least one coupling"),
+    "amplitudes-none": (
+        lambda _: sb.sample_amplitudes(_EQUAL, 0, 7), "at least one amplitude pair"
+    ),
+    "realization-index": (
+        lambda _: sb.realization_model(sb.EnsembleSpec(_FIXED, _EQUAL, 2, 3, 7), 3),
+        "realization index 3 outside 0..2",
+    ),
+    "horizon-negative": (
+        lambda _: sb.check_time_average(
+            sb.CouplingSet([1.0, 2.0]), sb.EnvironmentAmplitudes.equal_superposition(2),
+            horizon=-1.0,
+        ),
+        "horizon must be positive",
+    ),
+    "config-without-section": (_load_sectionless, "no section headers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rejection_raises_its_error(case, tmp_path):
+    call, fragment = CASES[case]
+    kind = ConfigError if case == "config-without-section" else sb.ValidationError
+    with pytest.raises(kind) as info:
+        call(tmp_path)
+    assert type(info.value) is kind
+    assert fragment in str(info.value)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from spinbath import runner
 from spinbath.cli import main
 from spinbath.config import SETTINGS, RunConfig
+from spinbath.ensembles import _COUPLING_KINDS
 
 
 def test_trace_subcommand(tmp_path, capsys):
@@ -505,9 +506,6 @@ _HEADS = {
     "fig3": (["figure", "--which=fig3", "--bins=7"], ()),
 }
 
-_ARITY = {"fixed": 1, "uniform": 2, "gaussian": 2, "lorentzian": 2}
-
-
 @st.composite
 def extreme_argvs(draw):
     """A CLI argv whose floats come from EXTREMES, at sizes that allocate
@@ -515,8 +513,8 @@ def extreme_argvs(draw):
     argparse reads the -1e308 of ``--start -1e308`` as a flag."""
     head, extra = _HEADS[draw(st.sampled_from(sorted(_HEADS)))]
     value = st.sampled_from(EXTREMES)
-    kind = draw(st.sampled_from(sorted(_ARITY)))
-    params = ", ".join(repr(draw(value)) for _ in range(_ARITY[kind]))
+    kind = draw(st.sampled_from(sorted(_COUPLING_KINDS)))
+    params = ", ".join(repr(draw(value)) for _ in range(_COUPLING_KINDS[kind]))
     argv = [
         *head,
         f"--n={draw(st.integers(1, 8))}",

@@ -14,12 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
 from .model import (
     CouplingSet,
     EnvironmentAmplitudes,
+    _adopt,
     _branch_product,
     _checked_time,
+    _intake,
     _readonly,
     _require_matching_sizes,
 )
@@ -34,15 +35,9 @@ class DiagonalBranchHamiltonian:
     down: np.ndarray
 
     def __post_init__(self) -> None:
-        up = np.array(self.up, dtype=np.float64, copy=True)
-        down = np.array(self.down, dtype=np.float64, copy=True)
-        if up.ndim != 1 or up.size < 1:
-            raise ValidationError("branch energies must form a non-empty 1-d sequence")
-        _require_matching_sizes(up.size, down.size, "up vs down branch energies")
-        if not (np.all(np.isfinite(up)) and np.all(np.isfinite(down))):
-            raise ValidationError("branch energies must be finite")
-        object.__setattr__(self, "up", _readonly(up))
-        object.__setattr__(self, "down", _readonly(down))
+        object.__setattr__(self, "up", _intake(self.up, np.float64, "branch energies"))
+        object.__setattr__(self, "down", _intake(self.down, np.float64, "branch energies"))
+        _require_matching_sizes(self.up.size, self.down.size, "up vs down branch energies")
 
     @property
     def n(self) -> int:
@@ -61,7 +56,7 @@ class DiagonalBranchHamiltonian:
     def _halves(self) -> tuple[np.ndarray, np.ndarray]:
         """(up / 2, down / 2), kept since echo_amplitude takes their
         differences at every time."""
-        return 0.5 * self.up, 0.5 * self.down
+        return _readonly(0.5 * self.up), _readonly(0.5 * self.down)
 
 
 def echo_amplitude(
@@ -107,4 +102,5 @@ def branch_spectrum(h: DiagonalBranchHamiltonian, amps: EnvironmentAmplitudes) -
     half = CouplingSet(0.5 * (h.up - h.down))
     shift = float(np.sum(0.5 * (h.up + h.down)))
     base = enumerate_walks(half, amps)
-    return EnergySpectrum._adopt(base.energies + shift, base.weights, base.n_spins, merged=False)
+    energies = base.energies + shift
+    return _adopt(EnergySpectrum, energies=energies, weights=base.weights, n_spins=h.n)

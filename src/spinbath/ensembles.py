@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .model import (
     CouplingSet,
     DecoherenceTrace,
     EnvironmentAmplitudes,
     TimeGrid,
+    _adopt,
     _checked_int,
     _readonly,
     decoherence_trace,
@@ -252,6 +253,17 @@ class EnsembleResult:
     mean: DecoherenceTrace
     values: np.ndarray
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", np.array(self.values, dtype=np.complex128))
+        self._freeze()
+
+    def _freeze(self) -> None:
+        _checked_type(self.mean, DecoherenceTrace, "mean")
+        shape = self.values.shape
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != len(self.mean):
+            raise ValidationError(f"ensemble values need shape (M, {len(self.mean)}), got {shape}")
+        _readonly(self.values)
+
 
 def realization_model(
     spec: EnsembleSpec, index: int
@@ -270,12 +282,20 @@ def ensemble_average_trace(spec: EnsembleSpec, grid: TimeGrid) -> EnsembleResult
 
     The rows are added into a zeros-start mean in realization order.
     numpy's reductions over axis 0 pick their order by memory layout; on a
-    one-sample grid they sum pairwise, which gives other bits.
+    one-sample grid they sum pairwise, which gives other bits.  More bytes
+    than a numpy array can index raise CapacityError before allocating.
     """
+    nbytes = spec.realizations * len(grid) * 16
+    if nbytes > np.iinfo(np.intp).max:
+        raise CapacityError(
+            f"{spec.realizations} realizations x {len(grid)} steps x 16 bytes = {nbytes} bytes "
+            f"of r(t) values exceed numpy's largest array, {np.iinfo(np.intp).max} bytes"
+        )
     values = np.empty((spec.realizations, len(grid)), dtype=np.complex128)
     acc = np.zeros(len(grid), dtype=np.complex128)
     for index, row in enumerate(values):
         row[:] = decoherence_trace(*realization_model(spec, index), grid).values
         acc += row
-    mean = DecoherenceTrace._adopt(grid.samples, acc / spec.realizations, spec.n)
-    return EnsembleResult(mean, _readonly(values))
+    acc /= spec.realizations
+    mean = _adopt(DecoherenceTrace, times=grid.samples, values=acc, n_spins=spec.n)
+    return _adopt(EnsembleResult, mean=mean, values=values)

@@ -12,9 +12,14 @@ evolution carries g_k t / 2, the overlap carries g_k t, and the
 convention is pinned by the equal-coupling closed form r(t) = cos^N(g t)
 at |alpha_k|^2 = 1/2.  Couplings are angular frequencies with hbar = 1.
 
-All types are immutable value objects (arrays are marked read-only) and
-all operations are pure functions, so everything here is safe to share
-between concurrent callers.
+All types are immutable value objects and all operations are pure
+functions, so everything here is safe to share between concurrent
+callers.  A public constructor copies its array arguments, through
+``_intake`` where they must be non-empty, 1-d and finite; a producer
+hands over the arrays it has just allocated through ``_adopt``, which
+copies nothing.  Either way the type's ``_freeze()`` checks its
+invariants and marks its arrays read-only, so every array the library
+returns is read-only and shares no memory with an array a caller passed in.
 """
 
 from __future__ import annotations
@@ -44,6 +49,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _intake(value, dtype, what: str) -> np.ndarray:
+    """A read-only copy of a non-empty, 1-d, finite array; ``what`` names it in errors."""
+    a = np.array(value, dtype=dtype)
+    if a.ndim != 1 or a.size < 1:
+        raise ValidationError(f"{what} must form a non-empty 1-d sequence")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} must be finite")
+    return _readonly(a)
+
+
+def _adopt(cls, **fields):
+    """A ``cls`` holding ``fields`` uncopied, the rest at their defaults,
+    checked and frozen by its ``_freeze()``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    obj._freeze()
+    return obj
+
+
 def _abs_sq(z: np.ndarray) -> np.ndarray:
     # re^2 + im^2 directly; abs() would round through a square root.
     return np.square(z.real) + np.square(z.imag)
@@ -61,12 +86,7 @@ class CouplingSet:
     couplings: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.array(self.couplings, dtype=np.float64, copy=True)
-        if g.ndim != 1 or g.size < 1:
-            raise ValidationError("couplings must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(g)):
-            raise ValidationError("couplings must be finite")
-        object.__setattr__(self, "couplings", _readonly(g))
+        object.__setattr__(self, "couplings", _intake(self.couplings, np.float64, "couplings"))
 
     @property
     def n(self) -> int:
@@ -87,21 +107,15 @@ class EnvironmentAmplitudes:
     beta_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        alpha = np.array(self.alpha, dtype=np.complex128, copy=True)
-        beta = np.array(self.beta, dtype=np.complex128, copy=True)
-        if alpha.ndim != 1 or alpha.size < 1:
-            raise ValidationError("amplitudes must form a non-empty 1-d sequence")
-        _require_matching_sizes(alpha.size, beta.size, "amplitude pair arrays")
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-            raise ValidationError("amplitudes must be finite")
-        alpha_sq, beta_sq = _abs_sq(alpha), _abs_sq(beta)
+        object.__setattr__(self, "alpha", _intake(self.alpha, np.complex128, "amplitudes"))
+        object.__setattr__(self, "beta", _intake(self.beta, np.complex128, "amplitudes"))
+        _require_matching_sizes(self.alpha.size, self.beta.size, "amplitude pair arrays")
+        alpha_sq, beta_sq = _abs_sq(self.alpha), _abs_sq(self.beta)
         worst = float(np.max(np.abs(alpha_sq + beta_sq - 1.0)))
         if worst > NORM_TOL:
             raise ValidationError(
                 f"amplitude pair norm off by {worst:.3e} (> {NORM_TOL:.0e})"
             )
-        object.__setattr__(self, "alpha", _readonly(alpha))
-        object.__setattr__(self, "beta", _readonly(beta))
         object.__setattr__(self, "alpha_sq", _readonly(alpha_sq))
         object.__setattr__(self, "beta_sq", _readonly(beta_sq))
 
@@ -164,24 +178,13 @@ class DecoherenceTrace:
     n_spins: int
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=np.float64, copy=True)
-        if not np.all(np.isfinite(times)):
-            raise ValidationError("trace times must be finite")
-        self._freeze(times, np.array(self.values, dtype=np.complex128, copy=True))
+        object.__setattr__(self, "times", _intake(self.times, np.float64, "trace times"))
+        object.__setattr__(self, "values", np.array(self.values, dtype=np.complex128))
+        self._freeze()
 
-    @classmethod
-    def _adopt(cls, times: np.ndarray, values: np.ndarray, n_spins: int) -> DecoherenceTrace:
-        """Validate and freeze float64 times and complex128 values without
-        the public constructor's copies.  The caller hands over ``values``,
-        which it has just allocated, and ``times``, which is fresh or
-        already read-only."""
-        trace = object.__new__(cls)
-        object.__setattr__(trace, "n_spins", n_spins)
-        trace._freeze(times, values)
-        return trace
-
-    def _freeze(self, times: np.ndarray, values: np.ndarray) -> None:
+    def _freeze(self) -> None:
         n_spins = _checked_n_spins(self.n_spins)
+        times, values = self.times, self.values
         if times.ndim != 1 or times.size < 1 or times.shape != values.shape:
             raise ValidationError("trace times and values must be matching 1-d arrays")
         mags = np.abs(values)
@@ -192,8 +195,8 @@ class DecoherenceTrace:
         if at_zero.size and not np.all(at_zero == 1.0 + 0.0j):
             raise ValidationError("r(0) must equal 1 exactly")
         object.__setattr__(self, "n_spins", n_spins)
-        object.__setattr__(self, "times", _readonly(times))
-        object.__setattr__(self, "values", _readonly(values))
+        _readonly(times)
+        _readonly(values)
 
     def __len__(self) -> int:
         return self.times.size
@@ -281,12 +284,7 @@ def decoherence_trace(
     stay within ``_BLOCK_BYTES`` each.
     """
     _require_matching_sizes(couplings.n, amps.n, "couplings vs amplitudes")
-    if isinstance(grid, TimeGrid):
-        samples = grid.samples
-    else:
-        samples = np.array(grid, dtype=np.float64, copy=True)
-        if samples.ndim != 1 or samples.size < 1 or not np.all(np.isfinite(samples)):
-            raise ValidationError("times must be a non-empty 1-d array of finite values")
+    samples = grid.samples if isinstance(grid, TimeGrid) else _intake(grid, np.float64, "times")
     g = couplings.couplings
     times = samples[:, np.newaxis]
     block = max(1, _BLOCK_BYTES // (16 * couplings.n))
@@ -296,4 +294,4 @@ def decoherence_trace(
             for i in range(0, times.shape[0], block)
         ]
     )
-    return DecoherenceTrace._adopt(samples, values, couplings.n)
+    return _adopt(DecoherenceTrace, times=samples, values=values, n_spins=couplings.n)

@@ -20,6 +20,7 @@ from .errors import CapacityError, ValidationError
 from .model import (
     CouplingSet,
     EnvironmentAmplitudes,
+    _adopt,
     _checked_int,
     _checked_n_spins,
     _checked_time,
@@ -53,27 +54,15 @@ class EnergySpectrum:
     merged: bool = False
 
     def __post_init__(self) -> None:
-        self._freeze(
-            np.array(self.energies, dtype=np.float64, copy=True),
-            np.array(self.weights, dtype=np.float64, copy=True),
-        )
+        object.__setattr__(self, "energies", np.array(self.energies, dtype=np.float64))
+        object.__setattr__(self, "weights", np.array(self.weights, dtype=np.float64))
+        self._freeze()
 
-    @classmethod
-    def _adopt(
-        cls, energies: np.ndarray, weights: np.ndarray, n_spins: int, merged: bool
-    ) -> EnergySpectrum:
-        """Validate and freeze float64 arrays the caller has just allocated
-        and hands over, without the public constructor's copy."""
-        spectrum = object.__new__(cls)
-        object.__setattr__(spectrum, "n_spins", n_spins)
-        object.__setattr__(spectrum, "merged", merged)
-        spectrum._freeze(energies, weights)
-        return spectrum
-
-    def _freeze(self, e: np.ndarray, w: np.ndarray) -> None:
+    def _freeze(self) -> None:
         n_spins = _checked_n_spins(self.n_spins)
         if not isinstance(self.merged, bool):
             raise ValidationError(f"merged must be a bool, got {self.merged!r}")
+        e, w = self.energies, self.weights
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
             raise ValidationError("spectrum needs matching non-empty 1-d arrays")
         held = _held(w)
@@ -87,8 +76,8 @@ class EnergySpectrum:
         if self.merged and not _gaps_above(e, 0.0, np.empty(e.size - 1, dtype=bool)).all():
             raise ValidationError("merged spectrum must have strictly increasing energies")
         object.__setattr__(self, "n_spins", n_spins)
-        object.__setattr__(self, "energies", _readonly(e))
-        object.__setattr__(self, "weights", _readonly(w))
+        _readonly(e)
+        _readonly(w)
 
     def __len__(self) -> int:
         return self.energies.size
@@ -112,20 +101,12 @@ class LdosHistogram:
     masses: np.ndarray
 
     def __post_init__(self) -> None:
-        self._freeze(
-            np.array(self.edges, dtype=np.float64, copy=True),
-            np.array(self.masses, dtype=np.float64, copy=True),
-        )
+        object.__setattr__(self, "edges", np.array(self.edges, dtype=np.float64))
+        object.__setattr__(self, "masses", np.array(self.masses, dtype=np.float64))
+        self._freeze()
 
-    @classmethod
-    def _adopt(cls, edges: np.ndarray, masses: np.ndarray) -> LdosHistogram:
-        """Validate and freeze float64 arrays the caller has just allocated
-        and hands over, without the public constructor's copies."""
-        histogram = object.__new__(cls)
-        histogram._freeze(edges, masses)
-        return histogram
-
-    def _freeze(self, edges: np.ndarray, masses: np.ndarray) -> None:
+    def _freeze(self) -> None:
+        edges, masses = self.edges, self.masses
         if edges.ndim != 1 or masses.ndim != 1 or edges.size != masses.size + 1:
             raise ValidationError("histogram needs len(edges) == len(masses) + 1")
         if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(masses))):
@@ -134,8 +115,8 @@ class LdosHistogram:
             raise ValidationError("histogram edges must be strictly increasing")
         if np.any(masses < 0.0) or not abs(float(masses.sum()) - 1.0) <= _WEIGHT_TOL:
             raise ValidationError("histogram masses must be nonnegative and sum to 1")
-        object.__setattr__(self, "edges", _readonly(edges))
-        object.__setattr__(self, "masses", _readonly(masses))
+        _readonly(edges)
+        _readonly(masses)
 
     @property
     def centers(self) -> np.ndarray:
@@ -181,7 +162,7 @@ def enumerate_walks(couplings: CouplingSet, amps: EnvironmentAmplitudes) -> Ener
         weights[block] *= up_w[k]
     if uniform:
         weights = np.broadcast_to(weights, (size,))
-    return EnergySpectrum._adopt(energies, weights, n, merged=False)
+    return _adopt(EnergySpectrum, energies=energies, weights=weights, n_spins=n)
 
 
 def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum:
@@ -257,7 +238,9 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     rows = heads - np.searchsorted(joins, heads)
     levels[rows] = base + mean_delta
     level_w[rows] = w_sum
-    return EnergySpectrum._adopt(levels, level_w, spectrum.n_spins, merged=True)
+    return _adopt(
+        EnergySpectrum, energies=levels, weights=level_w, n_spins=spectrum.n_spins, merged=True
+    )
 
 
 def _compacted(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -359,7 +342,7 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
         # Walk order, or a subnormal bin width (see _sorted_masses):
         # np.histogram computes each entry's bin.
         masses, edges = np.histogram(e, bins=bins, range=(lo, hi), weights=spectrum.weights)
-    return LdosHistogram._adopt(edges, masses)
+    return _adopt(LdosHistogram, edges=edges, masses=masses)
 
 
 #: Entries per block of ``np.histogram``'s uniform-bin loop (its internal

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -91,6 +92,28 @@ def test_size_beyond_the_address_space_is_a_capacity_error(tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert "error[capacity]: Unable to allocate 4.00 EiB" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["ensemble"], ["figure", "--which", "fig3"]], ids=["ensemble", "fig3"]
+)
+def test_ensemble_beyond_numpy_array_size_is_a_capacity_error(tmp_path, capsys, argv):
+    # 2^59 realizations x 3 steps x 16 bytes overflow numpy's 64-bit
+    # index, so np.empty raised ValueError: exit 1 with a traceback.
+    out = tmp_path / "huge"
+    tracemalloc.start()
+    try:
+        code = main(
+            [*argv, "--realizations", str(1 << 59), "--steps", "3", "--out-dir", str(out), "--quiet"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error[capacity]" in err and f"= {(1 << 59) * 3 * 16} bytes" in err
+    assert list(out.iterdir()) == []
+    assert peak < 1 << 23  # fig3's coupling histogram draws; no realization is stored
 
 
 def test_io_error_exit_code(tmp_path, capsys):

@@ -16,6 +16,21 @@ about u each, so the error is bounded by
 
 The 1 / |f_k| term is needed: near-zero factors, such as cos(g t) near
 g t = pi / 2, lose relative accuracy that no per-spin constant covers.
+
+The walk spectrum and the long-time average get the same treatment, with
+gamma_n = n u / (1 - n u), the bound on n roundings in sequence:
+
+- ``enumerate_walks`` forms each energy as a sum of N terms +-g_k taken
+  in k order from 0.  The first addition is exact and each later one
+  errs by at most u times the partial sum, whose modulus is at most
+  sum_k |g_k|, so |E - E*| <= 2 gamma_{N-1} sum_k |g_k|.
+- Each weight is a product of N factors a_k or b_k taken in k order
+  from 1: N - 1 roundings, so |p - p*| <= 2 gamma_{N-1} p*.
+- ``long_time_average_sq`` forms each factor (1 + (a_k - b_k)^2) / 2
+  with three roundings.  The two in the square reach the factor
+  scaled by s / (1 + s) <= 1/2, where s = (a_k - b_k)^2 <= 1, so each
+  factor errs by at most gamma_3 relative.  The product adds N - 1
+  roundings, so |L - L*| <= 2 gamma_{4N-1} L*.
 """
 
 import mpmath
@@ -31,6 +46,17 @@ TIMES = np.concatenate([np.linspace(0.0, 3.0, 11), np.geomspace(10.0, 1e6, 10)])
 
 DISTRIBUTIONS = ["fixed(0.7)", "gaussian(0.3, 0.5)", "lorentzian(0.4, 0.2)", "uniform(0.5, 2)"]
 RULES = ["equal", "fixed(0.8)", "random"]
+
+
+def gamma(n: int) -> float:
+    return n * U / (1 - n * U)
+
+
+def realization(dist: str, rule: str, n: int):
+    spec = sb.EnsembleSpec(
+        sb.CouplingDistribution.parse(dist), sb.AmplitudeRule.parse(rule), n, 1, 7
+    )
+    return sb.realization_model(spec, 0)
 
 
 def exact_factor_product(g, up, down, t: float) -> tuple[mpmath.mpc, mpmath.mpf]:
@@ -49,10 +75,7 @@ def exact_factor_product(g, up, down, t: float) -> tuple[mpmath.mpc, mpmath.mpf]
 @pytest.mark.parametrize("rule", RULES)
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
 def test_trace_within_rounding_bound_of_exact_product(dist, rule):
-    spec = sb.EnsembleSpec(
-        sb.CouplingDistribution.parse(dist), sb.AmplitudeRule.parse(rule), 40, 1, 7
-    )
-    couplings, amps = sb.realization_model(spec, 0)
+    couplings, amps = realization(dist, rule, 40)
     trace = sb.decoherence_trace(couplings, amps, TIMES)
     # r(0) is 1 by contract, while the product of the float weights is
     # (a_k + b_k)^N, which is 1 only up to rounding.
@@ -65,3 +88,41 @@ def test_trace_within_rounding_bound_of_exact_product(dist, rule):
             error = abs(mpmath.mpc(value) - exact)
             bound = 2 * U * abs(exact) * condition
         assert error <= bound, f"t = {t!r}: error {float(error):.3g} > bound {float(bound):.3g}"
+
+
+def exact_walks(g, up, down) -> tuple[list, list]:
+    """Walk energies and weights at 200 bits, in bitmask order: bit k set
+    takes -g_k with weight b_k, clear takes +g_k with weight a_k."""
+    energies, weights = [mpmath.mpf(0)], [mpmath.mpf(1)]
+    for g_k, a_k, b_k in zip(*(map(mpmath.mpf, x.tolist()) for x in (g, up, down))):
+        energies = [e + g_k for e in energies] + [e - g_k for e in energies]
+        weights = [w * a_k for w in weights] + [w * b_k for w in weights]
+    return energies, weights
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_walks_within_rounding_bound_of_exact_sums_and_products(dist, rule):
+    couplings, amps = realization(dist, rule, 12)
+    spectrum = sb.enumerate_walks(couplings, amps)
+    g = couplings.couplings
+    with mpmath.workprec(200):
+        energies, weights = exact_walks(g, amps.alpha_sq, amps.beta_sq)
+        energy_bound = mpmath.mpf(2 * gamma(g.size - 1) * float(np.sum(np.abs(g))))
+        for m, (e, e_exact) in enumerate(zip(spectrum.energies.tolist(), energies)):
+            assert abs(e - e_exact) <= energy_bound, f"walk {m}: energy {e!r}"
+        weight_bound = mpmath.mpf(2 * gamma(g.size - 1))
+        for m, (p, p_exact) in enumerate(zip(spectrum.weights.tolist(), weights)):
+            assert abs(p - p_exact) <= weight_bound * p_exact, f"walk {m}: weight {p!r}"
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_long_time_average_within_rounding_bound_of_exact_product(dist, rule):
+    _, amps = realization(dist, rule, 200)
+    with mpmath.workprec(200):
+        exact = mpmath.mpf(1)
+        for a_k, b_k in zip(amps.alpha_sq.tolist(), amps.beta_sq.tolist()):
+            exact *= (1 + (mpmath.mpf(a_k) - b_k) ** 2) / 2
+        error = abs(sb.long_time_average_sq(amps) - exact)
+        assert error <= 2 * gamma(4 * amps.n - 1) * exact

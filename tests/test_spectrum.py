@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import spinbath as sb
 from spinbath import spectrum as spectrum_module
+from spinbath.model import _adopt
 from helpers import (
     brute_force_characteristic,
     brute_force_spectrum,
@@ -155,7 +156,7 @@ class TestEnergySpectrum:
         # array through all of them; the bad value is last in the array.
         w = np.broadcast_to(np.array([weight]), (4,)) if shared else np.array([0.5] * 3 + [weight])
         with pytest.raises(sb.ValidationError, match=match):
-            sb.EnergySpectrum._adopt(np.arange(4.0), w, 2, merged=False)
+            _adopt(sb.EnergySpectrum, energies=np.arange(4.0), weights=w, n_spins=2, merged=False)
 
     @pytest.mark.parametrize(
         "n_spins", [-3, 0, True, 2.0, "2", None], ids=["negative", "zero", "bool", "float", "str", "none"]

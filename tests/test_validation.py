@@ -33,6 +33,10 @@ CASES = {
     "trace-lengths": (
         lambda _: sb.DecoherenceTrace([0.0, 1.0], [1.0], 2), "matching 1-d arrays"
     ),
+    "ensemble-values-shape": (
+        lambda _: sb.EnsembleResult(sb.DecoherenceTrace([0.0, 1.0], [1.0, 0.5], 2), [1.0, 0.5]),
+        "ensemble values need shape (M, 2), got (2,)",
+    ),
     "spectrum-empty": (lambda _: sb.EnergySpectrum([], [], 1), "non-empty 1-d arrays"),
     "spectrum-sum": (
         lambda _: sb.EnergySpectrum([0.0, 1.0], [0.5, 0.6], 1), "weights sum to 1.1"

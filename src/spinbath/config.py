@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, get_args, get_type_hints
 
 from .ensembles import AmplitudeRule, CouplingDistribution
 from .errors import ValidationError
-from .model import TimeGrid, _checked_int
+from .model import TimeGrid, _checked_float, _checked_int, _checked_type
 
 EXPERIMENTS = ("trace", "spectrum", "ldos", "ensemble", "echo", "average-check", "figure")
 FIGURES = ("fig1", "fig2", "fig3")
@@ -76,42 +74,20 @@ class RunConfig:
         elif self.figure is not None:
             raise ConfigError("figure key only applies to the figure experiment")
         # The CLI and config files convert text; a caller of build_config or
-        # RunConfig may not, and the string "false" is truthy.
-        for name, kind in (
-            ("merge", bool),
-            ("quiet", bool),
-            ("distribution", CouplingDistribution),
-            ("amplitudes", AmplitudeRule),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
-        for name in ("seed", "n", "realizations", "steps", "samples", "bins"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            try:
-                value = _checked_int(value, name)
-            except ValidationError as exc:
-                raise ConfigError(str(exc)) from exc
-            if value < 1 and name != "seed":
-                raise ConfigError(f"{name} must be >= 1")
-            object.__setattr__(self, name, value)
-        # Checked whatever the experiment: every value lands in manifest.json,
-        # which holds strict JSON (no NaN or Infinity), as a float.
-        for name in ("start", "stop", "merge_epsilon", "horizon"):
-            value = getattr(self, name)
-            if value is None and name in ("merge_epsilon", "horizon"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:  # an int beyond every float
-                value = math.inf
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        # RunConfig may not, and the string "false" is truthy.  Every value
+        # lands in manifest.json, whose strict JSON has no NaN or Infinity.
+        try:
+            for name, (kind, *optional) in _FIELD_TYPES.items():
+                value = getattr(self, name)
+                if kind in (str, Path) or value is None and optional:
+                    continue
+                check = {int: _checked_int, float: _checked_float}.get(kind)
+                value = check(value, name) if check else _checked_type(value, kind, name)
+                if kind is int and value < 1 and name != "seed":
+                    raise ConfigError(f"{name} must be >= 1")
+                object.__setattr__(self, name, value)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.merge_epsilon is not None and self.merge_epsilon < 0.0:
             raise ConfigError("merge_epsilon must be >= 0")
         if self.horizon is not None and self.horizon <= 0.0:
@@ -123,6 +99,12 @@ class RunConfig:
             return TimeGrid(self.start, self.stop, self.steps)
         except ValidationError as exc:
             raise ConfigError(f"bad time grid: {exc}") from exc
+
+
+#: Each RunConfig field's declared types, such as (int,) or (float, NoneType):
+#: the first picks the field's check, a second allows None.  The str and
+#: Path fields are checked in __post_init__ by value.
+_FIELD_TYPES = {name: get_args(hint) or (hint,) for name, hint in get_type_hints(RunConfig).items()}
 
 
 def _boolean(text: str) -> bool:
@@ -227,5 +209,5 @@ def build_config(file_values: dict[str, Any], overrides: dict[str, Any]) -> RunC
         raise ConfigError("no experiment selected")
     try:
         return RunConfig(**merged)
-    except (ValidationError, TypeError) as exc:
+    except TypeError as exc:  # an out_dir that is not a path
         raise ConfigError(str(exc)) from exc

@@ -19,7 +19,7 @@ from .model import (
     EnvironmentAmplitudes,
     _adopt,
     _branch_product,
-    _checked_time,
+    _checked_float,
     _intake,
     _readonly,
     _require_matching_sizes,
@@ -76,10 +76,9 @@ def echo_amplitude(
     """
     _require_matching_sizes(h0.n, h1.n, "branch Hamiltonians")
     _require_matching_sizes(h0.n, amps.n, "Hamiltonian vs amplitudes")
+    t = _checked_float(t, "time")
     (up0, down0), (up1, down1) = h0._halves, h1._halves
-    return complex(
-        _branch_product(amps.alpha_sq, amps.beta_sq, up0 - up1, down0 - down1, _checked_time(t))
-    )
+    return complex(_branch_product(amps.alpha_sq, amps.beta_sq, up0 - up1, down0 - down1, t))
 
 
 def survival_probability(
@@ -87,7 +86,7 @@ def survival_probability(
 ) -> float:
     """Probability that the initial product state survives evolution under h."""
     _require_matching_sizes(h.n, amps.n, "Hamiltonian vs amplitudes")
-    amp = _branch_product(amps.alpha_sq, amps.beta_sq, h.up, h.down, -_checked_time(t))
+    amp = _branch_product(amps.alpha_sq, amps.beta_sq, h.up, h.down, -_checked_float(t, "time"))
     return float(abs(amp) ** 2)
 
 

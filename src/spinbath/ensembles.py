@@ -9,7 +9,6 @@ A plain trace experiment is realization 0 of the matching ensemble.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass
 
@@ -22,7 +21,9 @@ from .model import (
     EnvironmentAmplitudes,
     TimeGrid,
     _adopt,
+    _checked_float,
     _checked_int,
+    _checked_type,
     _readonly,
     decoherence_trace,
 )
@@ -31,11 +32,6 @@ from .rng import cauchy, rekeyed_generator, standard_normal
 _COUPLING_KINDS = {"fixed": 1, "uniform": 2, "gaussian": 2, "lorentzian": 2}
 
 _SPEC_RE = re.compile(r"^\s*([a-z-]+)\s*(?:\(([^)]*)\))?\s*$")
-
-
-def _checked_type(value, kind: type, what: str) -> None:
-    if not isinstance(value, kind):
-        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 def _parse_call(text: str, what: str) -> tuple[str, tuple[float, ...]]:
@@ -66,19 +62,16 @@ class CouplingDistribution:
     def __post_init__(self) -> None:
         if self.kind not in _COUPLING_KINDS:
             raise ValidationError(f"unknown coupling distribution {self.kind!r}")
-        params = tuple(float(p) for p in self.params)
+        params = tuple(_checked_float(p, "distribution parameters") for p in self.params)
         if len(params) != _COUPLING_KINDS[self.kind]:
             raise ValidationError(
                 f"{self.kind} takes {_COUPLING_KINDS[self.kind]} parameter(s), got {len(params)}"
             )
-        if not all(math.isfinite(p) for p in params):
-            raise ValidationError("distribution parameters must be finite")
         if self.kind == "uniform" and not params[0] < params[1]:
             raise ValidationError("uniform needs lo < hi")
-        if self.kind == "gaussian" and not params[1] > 0.0:
-            raise ValidationError("gaussian needs sigma > 0")
-        if self.kind == "lorentzian" and not params[1] > 0.0:
-            raise ValidationError("lorentzian needs gamma > 0")
+        width = {"gaussian": "sigma", "lorentzian": "gamma"}.get(self.kind)
+        if width and params[1] <= 0.0:
+            raise ValidationError(f"{self.kind} needs {width} > 0")
         object.__setattr__(self, "params", params)
 
     @classmethod
@@ -123,9 +116,10 @@ class AmplitudeRule:
         if self.kind not in ("equal", "fixed", "random"):
             raise ValidationError(f"unknown amplitude rule {self.kind!r}")
         if self.kind == "fixed":
-            if self.up_weight is None or not 0.0 <= float(self.up_weight) <= 1.0:
+            up_weight = _checked_float(self.up_weight, "up_weight")
+            if not 0.0 <= up_weight <= 1.0:
                 raise ValidationError("fixed amplitude rule needs |alpha|^2 in [0, 1]")
-            object.__setattr__(self, "up_weight", float(self.up_weight))
+            object.__setattr__(self, "up_weight", up_weight)
         elif self.up_weight is not None:
             raise ValidationError(f"{self.kind} amplitude rule takes no parameter")
 
@@ -185,8 +179,7 @@ def sample_couplings(
 ) -> CouplingSet:
     """Draw N couplings; identical (dist, n, seed, stream) give identical bits."""
     _checked_type(dist, CouplingDistribution, "distribution")
-    n, seed = _checked_int(n, "n"), _checked_int(seed, "seed")
-    stream = _checked_int(stream, "stream")
+    n, seed, stream = _checked_int(n, "n"), _checked_int(seed, "seed"), _checked_int(stream, "stream")
     if n < 1:
         raise ValidationError("need at least one coupling")
     gen = rekeyed_generator(seed, stream)
@@ -222,8 +215,7 @@ def sample_amplitudes(
 ) -> EnvironmentAmplitudes:
     """Build N amplitude pairs under the rule; deterministic in (seed, stream)."""
     _checked_type(rule, AmplitudeRule, "amplitude rule")
-    n, seed = _checked_int(n, "n"), _checked_int(seed, "seed")
-    stream = _checked_int(stream, "stream")
+    n, seed, stream = _checked_int(n, "n"), _checked_int(seed, "seed"), _checked_int(stream, "stream")
     if n < 1:
         raise ValidationError("need at least one amplitude pair")
     if rule.kind != "random":

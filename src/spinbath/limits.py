@@ -20,6 +20,7 @@ from .model import (
     CouplingSet,
     EnvironmentAmplitudes,
     decoherence_trace,
+    _checked_float,
     _checked_int,
     _readonly,
     _require_matching_sizes,
@@ -85,7 +86,7 @@ def gaussian_decoherence(summary: StatisticsSummary, t) -> complex:
     Reliable for t up to about gaussian_validity_window(summary); beyond
     that the neglected higher cumulants of the spectrum matter.
     """
-    t = float(t)
+    t = _checked_float(t, "time")
     return complex(
         math.exp(-0.5 * summary.variance * t * t)
         * complex(math.cos(summary.mean * t), math.sin(summary.mean * t))
@@ -108,7 +109,7 @@ def laplace_demoivre_weight(n: int, l: int, up_weight: float) -> float:
     n, l = _checked_int(n, "n"), _checked_int(l, "l")
     if n < 1 or not 0 <= l <= n:
         raise ValidationError("need n >= 1 and 0 <= l <= n")
-    up_weight = float(up_weight)
+    up_weight = _checked_float(up_weight, "up_weight")
     if not 0.0 < up_weight < 1.0:
         raise DegenerateDistributionError("binomial Gaussian needs 0 < |alpha|^2 < 1")
     down_weight = 1.0 - up_weight
@@ -128,7 +129,8 @@ def lindeberg_check(
     B_N^2 contributed by step outcomes deviating from their mean by at
     least threshold * B_N.
     """
-    if not threshold > 0.0:  # also rejects NaN
+    threshold = _checked_float(threshold, "threshold")
+    if threshold <= 0.0:
         raise ValidationError("threshold must be positive")
     total = math.sqrt(summary.variance)
     if total == 0.0:
@@ -153,7 +155,7 @@ def lindeberg_check(
     return LindebergReport(
         max_step_ratio=ratio,
         tail_mass=float(tail / summary.variance),
-        threshold=float(threshold),
+        threshold=threshold,
         verdict=verdict,
     )
 
@@ -185,9 +187,9 @@ def _sq_magnitude_samples(
     if horizon is None:
         # 100 periods of the slowest coupling.
         horizon = 100.0 * (2.0 * math.pi / float(magnitudes.min()))
-    horizon = float(horizon)
-    if not (horizon > 0.0 and np.isfinite(horizon)):
-        raise ValidationError("horizon must be positive and finite")
+    horizon = _checked_float(horizon, "horizon")
+    if horizon <= 0.0:
+        raise ValidationError("horizon must be positive")
     # Left-endpoint sampling of [0, horizon): the closed interval would
     # double-count the revival at both ends.
     times = horizon * np.arange(samples) / samples

@@ -25,6 +25,7 @@ returns is read-only and shares no memory with an array a caller passed in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,10 +149,8 @@ class TimeGrid:
     samples: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        start, stop = float(self.start), float(self.stop)
+        start, stop = (_checked_float(v, "grid endpoints") for v in (self.start, self.stop))
         steps = _checked_int(self.steps, "grid steps")
-        if not (np.isfinite(start) and np.isfinite(stop)):
-            raise ValidationError("grid endpoints must be finite")
         if steps < 1:
             raise ValidationError("grid needs at least one step")
         if start > stop:
@@ -223,11 +222,28 @@ def _checked_n_spins(n) -> int:
     return int(n)
 
 
-def _checked_time(t) -> float:
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValidationError("time must be finite")
-    return t
+def _checked_float(value, what: str) -> float:
+    """value as a finite float.  Python and numpy reals and 0-d arrays of
+    them pass; a bool, a string or a sequence raises, where float() would
+    take True as 1.0 and "1.5" as 1.5."""
+    if not isinstance(value, float):  # np.float64 is a float, and skips this
+        if isinstance(value, np.ndarray) and value.ndim == 0:
+            value = value[()]  # a numpy scalar, checked below
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{what} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond every float
+            value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def _checked_type(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _branch_product(up_w, down_w, up_rate, down_rate, t):
@@ -268,8 +284,8 @@ def decoherence_factor(couplings: CouplingSet, amps: EnvironmentAmplitudes, t) -
     r(0) is exactly 1.
     """
     _require_matching_sizes(couplings.n, amps.n, "couplings vs amplitudes")
-    g = couplings.couplings
-    return complex(_branch_product(amps.alpha_sq, amps.beta_sq, g, None, _checked_time(t)))
+    t = _checked_float(t, "time")
+    return complex(_branch_product(amps.alpha_sq, amps.beta_sq, couplings.couplings, None, t))
 
 
 def decoherence_trace(

@@ -21,9 +21,10 @@ from .model import (
     CouplingSet,
     EnvironmentAmplitudes,
     _adopt,
+    _checked_float,
     _checked_int,
     _checked_n_spins,
-    _checked_time,
+    _checked_type,
     _readonly,
     _require_matching_sizes,
 )
@@ -60,8 +61,7 @@ class EnergySpectrum:
 
     def _freeze(self) -> None:
         n_spins = _checked_n_spins(self.n_spins)
-        if not isinstance(self.merged, bool):
-            raise ValidationError(f"merged must be a bool, got {self.merged!r}")
+        _checked_type(self.merged, bool, "merged")
         e, w = self.energies, self.weights
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
             raise ValidationError("spectrum needs matching non-empty 1-d arrays")
@@ -178,7 +178,8 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     energies are sorted; otherwise an index sort carries the weights
     along.  Both give the same bits.
     """
-    if not epsilon >= 0.0:  # also rejects NaN, which would merge everything
+    epsilon = _checked_float(epsilon, "merge epsilon")
+    if epsilon < 0.0:
         raise ValidationError("merge epsilon must be nonnegative")
     w = spectrum.weights
     held = _held(w)
@@ -264,7 +265,7 @@ def _held(w: np.ndarray) -> np.ndarray:
     return w[:1] if w.strides == (0,) else w
 
 
-def _checked_bins(bins: int) -> int:
+def _capped_bins(bins: int) -> int:
     """bins as an int; CapacityError above the longest table the walk cap allows."""
     bins = _checked_int(bins, "bins")
     if bins < 1:
@@ -329,7 +330,7 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
     """
     if bins is None:
         bins = math.ceil(math.sqrt(len(spectrum)))
-    bins = _checked_bins(bins)
+    bins = _capped_bins(bins)
     e = spectrum.energies
     if spectrum.merged:
         lo, hi = float(e[0]), float(e[-1])
@@ -388,5 +389,5 @@ def _sorted_masses(e: np.ndarray, w: np.ndarray, edges: np.ndarray) -> np.ndarra
 
 def characteristic_function(spectrum: EnergySpectrum, t) -> complex:
     """Weighted phase sum over the spectrum: sum_W p_W exp(i E_W t)."""
-    t = _checked_time(t)
+    t = _checked_float(t, "time")
     return complex(np.sum(spectrum.weights * np.exp(1j * spectrum.energies * t)))

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import pytest
@@ -95,11 +94,18 @@ def test_size_beyond_the_address_space_is_a_capacity_error(tmp_path, capsys, arg
 
 
 @pytest.mark.parametrize(
-    "argv", [["ensemble"], ["figure", "--which", "fig3"]], ids=["ensemble", "fig3"]
+    "argv",
+    [["ensemble"], ["figure", "--which", "fig2"], ["figure", "--which", "fig3"]],
+    ids=["ensemble", "fig2", "fig3"],
 )
-def test_ensemble_beyond_numpy_array_size_is_a_capacity_error(tmp_path, capsys, argv):
+def test_ensemble_beyond_numpy_array_size_is_a_capacity_error(tmp_path, capsys, monkeypatch, argv):
     # 2^59 realizations x 3 steps x 16 bytes overflow numpy's 64-bit
-    # index, so np.empty raised ValueError: exit 1 with a traceback.
+    # index, so np.empty raised ValueError: exit 1 with a traceback.  The
+    # figures raise before they enumerate walks; fig2 enumerated 2^24 first.
+    def no_walks(*_args, **_kwargs):
+        raise AssertionError("a walk was enumerated")
+
+    monkeypatch.setattr(runner, "enumerate_walks", no_walks)
     out = tmp_path / "huge"
     tracemalloc.start()
     try:
@@ -297,12 +303,11 @@ def test_overflowing_trace_statistics_left_out_of_manifest(tmp_path):
 @pytest.mark.parametrize("command", ["trace", "echo", "ensemble"])
 def test_overflowing_phases_exit_2_without_writing(tmp_path, capsys, command):
     # g t overflows to inf, and r(t) would be NaN: no table holds it.
+    # Warnings are errors in this suite, so the overflow must not warn.
     out = tmp_path / "huge"
     argv = [command, "--n", "2", "--couplings", "fixed(1e308)", "--stop", "10",
             "--format", "json", "--out-dir", str(out), "--quiet"]
-    with pytest.warns(RuntimeWarning):
-        code = main(argv)
-    assert code == 2
+    assert main(argv) == 2
     assert "error[config]" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
@@ -318,14 +323,12 @@ def test_echo_near_the_float_limit_matches_trace(tmp_path):
 
 
 def test_failing_figure_writes_no_file(tmp_path, capsys):
-    # The N = 100 trace overflows after the coupling and energy histograms
-    # are computed; none of the figure's tables may be written.
+    # The N = 100 trace overflows; none of the figure's tables may be
+    # written, and numpy may not warn.
     out = tmp_path / "fig3"
     argv = ["figure", "--which", "fig3", "--couplings", "lorentzian(0, 1e300)", "--n", "4",
             "--realizations", "2", "--stop", "1e8", "--steps", "5", "--out-dir", str(out)]
-    with pytest.warns(RuntimeWarning):
-        code = main(argv)
-    assert code == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert "error[config]: |r| must not exceed 1" in captured.err
     assert "wrote" not in captured.out
@@ -580,10 +583,9 @@ def _assert_finite_outputs(out: Path) -> None:
 @example(argv=["trace", "--start=-1e308", "--stop=1e308"])
 def test_extreme_floats_keep_the_exit_contract(argv):
     # Exit 0 with finite, strict outputs, or exit 2 or 3 with nothing
-    # written.  RuntimeWarnings are ignored, as a user running the CLI
-    # sees them: printed, and not raised.
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # written.  Warnings are errors in this suite, so a run that warns
+    # fails here: the exit code must not depend on the warnings filter.
+    with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([*argv, f"--out-dir={out}", "--quiet"])

@@ -1,8 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+scalar checks live in ``model.py`` alone.
 
-No linter runs in CI, so this check stands in for one: a refactor that
-moves code between modules tends to leave an import behind.
-``__init__.py`` is exempt, since its imports are the public API.
+No linter runs in CI, so these checks stand in for one: a refactor that
+moves code between modules tends to leave an import behind, or a second
+copy of a ``_checked_*`` helper whose rule drifts from the first.
+``__init__.py`` is exempt from the import check, since its imports are
+the public API.
 """
 
 import ast
@@ -36,3 +39,25 @@ def test_module_uses_every_import(module):
 def test_check_finds_an_unused_import():
     source = "import math\nimport numpy as np\nfrom .errors import ValidationError, CapacityError\n"
     assert unused_imports(source + "np.sqrt(math.pi)\nraise CapacityError\n") == ["ValidationError"]
+
+
+def checked_helpers(source: str) -> list[str]:
+    """The names of the ``_checked_*`` functions defined in ``source``."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_checked_")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "model.py"))
+def test_only_model_defines_checks(module):
+    assert checked_helpers((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_a_checked_helper():
+    source = "def _checked_type(value, kind, what):\n    return value\n\nclass A:\n"
+    assert checked_helpers(source + "    def _checked_x(self):\n        pass\n") == [
+        "_checked_type",
+        "_checked_x",
+    ]

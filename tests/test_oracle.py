@@ -17,8 +17,9 @@ about u each, so the error is bounded by
 The 1 / |f_k| term is needed: near-zero factors, such as cos(g t) near
 g t = pi / 2, lose relative accuracy that no per-spin constant covers.
 
-The walk spectrum and the long-time average get the same treatment, with
-gamma_n = n u / (1 - n u), the bound on n roundings in sequence:
+The walk spectrum, its characteristic function and the long-time
+average get the same treatment, with gamma_n = n u / (1 - n u), the
+bound on n roundings in sequence:
 
 - ``enumerate_walks`` forms each energy as a sum of N terms +-g_k taken
   in k order from 0.  The first addition is exact and each later one
@@ -26,6 +27,21 @@ gamma_n = n u / (1 - n u), the bound on n roundings in sequence:
   sum_k |g_k|, so |E - E*| <= 2 gamma_{N-1} sum_k |g_k|.
 - Each weight is a product of N factors a_k or b_k taken in k order
   from 1: N - 1 roundings, so |p - p*| <= 2 gamma_{N-1} p*.
+- ``characteristic_function`` sums x_W = p_W e^{i theta_W}, with
+  theta_W = E_W t rounded, over the 2^N walks; multiplied out, the N
+  factors of r*(t) are that sum taken exactly.  To first order in u the
+  phase errs by |t| |E_W - E*_W| + u |E_W t| <= (gamma_{N-1} + u) |t|
+  sum_k |g_k| (the energy bound above, without its factor 2); cos and sin
+  err by an ulp, at most u each, and the weight and the product
+  p_W e^{i theta_W} add gamma_{N-1} + u relative, so |x_W - x*_W| <=
+  p*_W ((gamma_{N-1} + u) |t| sum_k |g_k| + gamma_{N-1} + 3u), and the
+  p*_W sum to 1.  ``np.sum`` adds the terms pairwise: blocks of 64 go
+  through four interleaved accumulators (15 additions, then 2 to join
+  them) and each halving above adds one, so no term meets more than
+  N + 11 additions, which add gamma_{N+11} sum_W |x_W| to each of the
+  real and imaginary parts.  With c = 2 for the higher orders,
+  |r - r*| <= 2 ((gamma_{N-1} + u) |t| sum_k |g_k| + gamma_{N-1} + 3u
+  + sqrt(2) gamma_{N+11}).
 - ``long_time_average_sq`` forms each factor (1 + (a_k - b_k)^2) / 2
   with three roundings.  The two in the square reach the factor
   scaled by s / (1 + s) <= 1/2, where s = (a_k - b_k)^2 <= 1, so each
@@ -114,6 +130,26 @@ def test_walks_within_rounding_bound_of_exact_sums_and_products(dist, rule):
         weight_bound = mpmath.mpf(2 * gamma(g.size - 1))
         for m, (p, p_exact) in enumerate(zip(spectrum.weights.tolist(), weights)):
             assert abs(p - p_exact) <= weight_bound * p_exact, f"walk {m}: weight {p!r}"
+
+
+#: Nonzero times, none of them a float32 value.
+PHASE_SUM_TIMES = [0.37, 1.3, 5.1, 41.7]
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_characteristic_function_within_rounding_bound_of_exact_product(dist, rule):
+    couplings, amps = realization(dist, rule, 12)
+    spectrum = sb.enumerate_walks(couplings, amps)
+    g, n = couplings.couplings, couplings.n
+    for t in PHASE_SUM_TIMES:
+        value = sb.characteristic_function(spectrum, t)
+        exact, _ = exact_factor_product(g, amps.alpha_sq, amps.beta_sq, t)
+        phase = (gamma(n - 1) + U) * abs(t) * float(np.sum(np.abs(g)))
+        bound = 2 * (phase + gamma(n - 1) + 3 * U + 2**0.5 * gamma(n + 11))
+        with mpmath.workprec(200):
+            error = abs(mpmath.mpc(value) - exact)
+        assert error <= bound, f"t = {t!r}: error {float(error):.3g} > bound {bound:.3g}"
 
 
 @pytest.mark.parametrize("rule", RULES)

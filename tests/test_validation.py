@@ -6,6 +6,7 @@ samplers fed an empty, non-finite, unnormalized or out-of-range input.
 
 import math
 
+import numpy as np
 import pytest
 
 import spinbath as sb
@@ -85,3 +86,77 @@ def test_rejection_raises_its_error(case, tmp_path):
         call(tmp_path)
     assert type(info.value) is kind
     assert fragment in str(info.value)
+
+
+_COUPLINGS = sb.CouplingSet([1.0, 2.0])
+_AMPS = sb.EnvironmentAmplitudes.equal_superposition(2)
+_H = sb.DiagonalBranchHamiltonian.from_couplings(_COUPLINGS)
+_SPECTRUM = sb.enumerate_walks(_COUPLINGS, _AMPS)
+_SUMMARY = sb.summarize(_COUPLINGS, _AMPS)
+
+
+def _merged(epsilon):
+    merged = sb.merge_degenerate(_SPECTRUM, epsilon)
+    return merged.energies.tolist(), merged.weights.tolist()
+
+
+#: Each public float parameter -> (the words its errors name it by, a call
+#: taking the value).  The RunConfig fields raise ConfigError, the rest
+#: ValidationError.
+FLOAT_PARAMETERS = {
+    "TimeGrid-start": ("grid endpoints", lambda v: sb.TimeGrid(v, 10.0, 3).samples.tolist()),
+    "TimeGrid-stop": ("grid endpoints", lambda v: sb.TimeGrid(-10.0, v, 3).samples.tolist()),
+    "decoherence_factor": ("time", lambda v: sb.decoherence_factor(_COUPLINGS, _AMPS, v)),
+    "echo_amplitude": ("time", lambda v: sb.echo_amplitude(_H, -_H, _AMPS, v)),
+    "survival_probability": ("time", lambda v: sb.survival_probability(_H, _AMPS, v)),
+    "characteristic_function": ("time", lambda v: sb.characteristic_function(_SPECTRUM, v)),
+    "gaussian_decoherence": ("time", lambda v: sb.gaussian_decoherence(_SUMMARY, v)),
+    "CouplingDistribution": (
+        "distribution parameters", lambda v: sb.CouplingDistribution("uniform", (-10.0, v))
+    ),
+    "AmplitudeRule": ("up_weight", lambda v: sb.AmplitudeRule("fixed", v)),
+    "merge_degenerate": ("merge epsilon", _merged),
+    "lindeberg_check": ("threshold", lambda v: sb.lindeberg_check(_SUMMARY, v)),
+    "laplace_demoivre_weight": ("up_weight", lambda v: sb.laplace_demoivre_weight(4, 1, v)),
+    "check_time_average": (
+        "horizon", lambda v: sb.check_time_average(_COUPLINGS, _AMPS, horizon=v, samples=64)
+    ),
+    **{
+        f"RunConfig-{field}": (field, lambda v, field=field: sb.RunConfig("trace", **{field: v}))
+        for field in ("start", "stop", "merge_epsilon", "horizon")
+    },
+}
+
+
+def _outcome(call, value) -> str:
+    """The repr of what call(value) returns, or its exception's type and message."""
+    try:
+        return repr(call(value))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, "1.5", math.nan, math.inf, -math.inf, 10**400, [1.0]],
+    ids=["True", "'1.5'", "nan", "inf", "-inf", "10**400", "[1.0]"],
+)
+@pytest.mark.parametrize("parameter", sorted(FLOAT_PARAMETERS))
+def test_float_parameter_rejects_what_is_not_a_finite_number(parameter, value):
+    # float() would take True as 1.0 and "1.5" as 1.5; a NaN or an
+    # infinity gave nan+nanj or merged every level into one.
+    what, call = FLOAT_PARAMETERS[parameter]
+    kind = ConfigError if parameter.startswith("RunConfig") else sb.ValidationError
+    with pytest.raises(kind) as info:
+        call(value)
+    assert type(info.value) is kind
+    assert what in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "value", [1, np.float32(0.5), np.int64(1), np.array(0.25)], ids=lambda v: type(v).__name__
+)
+@pytest.mark.parametrize("parameter", sorted(FLOAT_PARAMETERS))
+def test_float_parameter_takes_any_real_as_its_float(parameter, value):
+    _, call = FLOAT_PARAMETERS[parameter]
+    assert _outcome(call, value) == _outcome(call, float(value))

@@ -4,13 +4,15 @@ Supports the product family where each branch Hamiltonian is a sum of
 single-spin diagonal terms, which is exactly the family for which the
 overlap of the two branch evolutions factorizes spin by spin.  With the
 identification up = +g_k, down = -g_k for branch 0 and its negation for
-branch 1, the echo amplitude reduces to the decoherence factor.
+branch 1, the echo amplitude reduces to the decoherence factor.  Rates
+are formed once per Hamiltonian and per branch pair; where the down rates
+are minus the up rates, as there, the kernel takes one exponential, not two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,10 +55,20 @@ class DiagonalBranchHamiltonian:
         return DiagonalBranchHamiltonian(up=-self.up, down=-self.down)
 
     @cached_property
-    def _halves(self) -> tuple[np.ndarray, np.ndarray]:
-        """(up / 2, down / 2), kept since echo_amplitude takes their
-        differences at every time."""
-        return _readonly(0.5 * self.up), _readonly(0.5 * self.down)
+    def _rates(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """survival_probability's kernel rates, formed once."""
+        return _mirrored(self.up, self.down)
+
+
+def _mirrored(up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(up, down), down None where it is -up by value: the one-exponential path."""
+    return up, None if np.array_equal(down, -up) else down
+
+
+@lru_cache(maxsize=1)  # keyed by the objects, which hash by identity and so never go stale
+def _pair_rates(h0: DiagonalBranchHamiltonian, h1: DiagonalBranchHamiltonian):
+    """echo_amplitude's kernel rates for the last pair, which the runner asks at every time."""
+    return _mirrored(_readonly(0.5 * h0.up - 0.5 * h1.up), _readonly(0.5 * h0.down - 0.5 * h1.down))
 
 
 def echo_amplitude(
@@ -72,13 +84,13 @@ def echo_amplitude(
     Each rate is halved before the difference, so h1 = -h0 never forms
     2g, which overflows for |g| above half the float limit.  Halving a
     normal float is exact, so the phases keep the bits of
-    (up0_k - up1_k) * (t / 2).
+    (up0_k - up1_k) * (t / 2).  For h1 = -h0 one exponential gives the
+    bits of two.
     """
     _require_matching_sizes(h0.n, h1.n, "branch Hamiltonians")
     _require_matching_sizes(h0.n, amps.n, "Hamiltonian vs amplitudes")
     t = _checked_float(t, "time")
-    (up0, down0), (up1, down1) = h0._halves, h1._halves
-    return complex(_branch_product(amps.alpha_sq, amps.beta_sq, up0 - up1, down0 - down1, t))
+    return complex(_branch_product(amps.alpha_sq, amps.beta_sq, *_pair_rates(h0, h1), t))
 
 
 def survival_probability(
@@ -86,7 +98,7 @@ def survival_probability(
 ) -> float:
     """Probability that the initial product state survives evolution under h."""
     _require_matching_sizes(h.n, amps.n, "Hamiltonian vs amplitudes")
-    amp = _branch_product(amps.alpha_sq, amps.beta_sq, h.up, h.down, -_checked_float(t, "time"))
+    amp = _branch_product(amps.alpha_sq, amps.beta_sq, *h._rates, -_checked_float(t, "time"))
     return float(abs(amp) ** 2)
 
 

@@ -87,10 +87,13 @@ def gaussian_decoherence(summary: StatisticsSummary, t) -> complex:
     that the neglected higher cumulants of the spectrum matter.
     """
     t = _checked_float(t, "time")
-    return complex(
-        math.exp(-0.5 * summary.variance * t * t)
-        * complex(math.cos(summary.mean * t), math.sin(summary.mean * t))
-    )
+    # At t = 0 (where an infinite variance gives inf * 0) and under a zero
+    # envelope r is exactly 1 or 0, whatever the phase.
+    envelope = math.exp(-0.5 * summary.variance * t * t) if t else 1.0
+    phase = summary.mean * t if t and envelope else 0.0
+    if not math.isfinite(phase):
+        raise ValidationError(f"mean-energy phase {summary.mean!r} * {t!r} overflows")
+    return complex(envelope * complex(math.cos(phase), math.sin(phase)))
 
 
 def gaussian_validity_window(summary: StatisticsSummary) -> float:
@@ -186,7 +189,10 @@ def _sq_magnitude_samples(
         )
     if horizon is None:
         # 100 periods of the slowest coupling.
-        horizon = 100.0 * (2.0 * math.pi / float(magnitudes.min()))
+        slowest = float(magnitudes.min())
+        horizon = 100.0 * (2.0 * math.pi / slowest)
+        if not math.isfinite(horizon):
+            raise ValidationError(f"100 periods of slowest coupling {slowest!r} overflow; pass a horizon")
     horizon = _checked_float(horizon, "horizon")
     if horizon <= 0.0:
         raise ValidationError("horizon must be positive")

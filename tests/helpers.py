@@ -15,6 +15,19 @@ from hypothesis import strategies as st
 import spinbath as sb
 
 
+def edge_couplings(rng, n):
+    """Couplings of magnitude 1e-310 to 1e3, with signed zeros mixed in."""
+    g = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-310.0, 3.0, n)
+    g[rng.random(n) < 0.15] = 0.0
+    g[rng.random(n) < 0.15] = -0.0
+    return g
+
+
+#: Zero and negative times, g t that underflows to +-0 for the smallest
+#: couplings, and |g t| up to 1e5.
+EDGE_TIMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-200, 1e-3, -0.7, 2.5, -99.0, 100.0]
+
+
 def make_amplitudes(up_weights, up_phases=None, down_phases=None) -> sb.EnvironmentAmplitudes:
     """Normalized amplitude pairs from up-branch weights and optional phases."""
     w = np.asarray(up_weights, dtype=float)

@@ -322,6 +322,21 @@ def test_echo_near_the_float_limit_matches_trace(tmp_path):
     assert [row.rpartition(",")[0] for row in echo] == trace
 
 
+@pytest.mark.parametrize("rule", ["equal", "fixed(0.8)", "random", "fixed(1.0)", "fixed(0.0)"])
+@pytest.mark.parametrize(
+    "dist", ["fixed(0.7)", "gaussian(0.3, 0.5)", "lorentzian(0.4, 0.2)", "uniform(0.5, 2)"]
+)
+def test_echo_columns_are_the_trace(tmp_path, dist, rule):
+    # h1 = -h0 makes the echo amplitude the decoherence factor, bit for bit.
+    model = ["--n", "12", "--couplings", dist, "--amplitudes", rule,
+             "--start", "-7", "--stop", "30", "--steps", "101", "--quiet"]
+    assert main(["echo", *model, "--out-dir", str(tmp_path / "echo")]) == 0
+    assert main(["trace", *model, "--out-dir", str(tmp_path / "trace")]) == 0
+    echo = (tmp_path / "echo" / "echo.csv").read_text(encoding="utf-8").splitlines()
+    trace = (tmp_path / "trace" / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.rpartition(",")[0] for row in echo] == trace
+
+
 def test_failing_figure_writes_no_file(tmp_path, capsys):
     # The N = 100 trace overflows; none of the figure's tables may be
     # written, and numpy may not warn.

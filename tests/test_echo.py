@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 import spinbath as sb
-from helpers import exact_half_amplitudes, models, random_model, times
+from spinbath import echo
+from spinbath.model import _branch_product
+from helpers import EDGE_TIMES, edge_couplings, exact_half_amplitudes, models, random_model, times
 
 
 def random_branch(rng, n):
@@ -109,6 +111,82 @@ class TestEchoAmplitude:
         assert sb.echo_amplitude(joint_h0, joint_h1, joint_amps, t) == pytest.approx(
             product, abs=1e-12
         )
+
+
+def two_exponential_echo(h0, h1, amps, t):
+    """echo_amplitude with both exponentials taken, from freshly halved rates."""
+    up, down = 0.5 * h0.up - 0.5 * h1.up, 0.5 * h0.down - 0.5 * h1.down
+    return np.complex128(_branch_product(amps.alpha_sq, amps.beta_sq, up, down, t))
+
+
+def two_exponential_survival(h, amps, t):
+    """survival_probability with both exponentials taken."""
+    return abs(complex(_branch_product(amps.alpha_sq, amps.beta_sq, h.up, h.down, -t))) ** 2
+
+
+def same_bits(got, want) -> bool:
+    if np.isnan(want):
+        return bool(np.isnan(got))
+    return got.tobytes() == want.tobytes()
+
+
+def edge_weight_sets(rng, n):
+    """Random up weights and the zero-weight rules fixed(1.0) and fixed(0.0)."""
+    return [
+        sb.EnvironmentAmplitudes.from_up_weights(w)
+        for w in (rng.random(n), np.ones(n), np.zeros(n))
+    ]
+
+
+class TestMirroredPairs:
+    """Branch pairs whose down rates are minus their up rates take one
+    exponential per spin, with the bits of two."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_bits_equal_two_exponentials(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            g = edge_couplings(rng, n)
+            g[rng.random(n) < 0.1] = rng.choice([1e308, -1e308, 3e307])
+            h0 = sb.DiagonalBranchHamiltonian.from_couplings(sb.CouplingSet(g))
+            h1 = -h0
+            assert echo._pair_rates(h0, h1)[1] is None and h1._rates[1] is None
+            for amps in edge_weight_sets(rng, n):
+                # Huge couplings overflow g t to inf at late times, where
+                # both values are NaN; the sign of a NaN carries nothing.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for t in EDGE_TIMES:
+                        got = np.complex128(sb.echo_amplitude(h0, h1, amps, t))
+                        assert same_bits(got, two_exponential_echo(h0, h1, amps, t))
+                        got = np.float64(sb.survival_probability(h1, amps, t))
+                        assert same_bits(got, np.float64(two_exponential_survival(h1, amps, t)))
+
+    def test_general_pair_keeps_two_exponentials(self):
+        rng = np.random.default_rng(11)
+        n = 9
+        still = sb.DiagonalBranchHamiltonian(np.zeros(n), np.zeros(n))
+        h = random_branch(rng, n)
+        assert echo._pair_rates(still, h)[1] is not None and h._rates[1] is not None
+        for amps in edge_weight_sets(rng, n):
+            for t in EDGE_TIMES:
+                got = np.complex128(sb.echo_amplitude(still, h, amps, t))
+                assert got.tobytes() == two_exponential_echo(still, h, amps, t).tobytes()
+                assert sb.survival_probability(h, amps, t) == two_exponential_survival(h, amps, t)
+
+    def test_alternating_pairs_each_get_their_own_rates(self):
+        rng = np.random.default_rng(12)
+        n = 6
+        h0 = sb.DiagonalBranchHamiltonian.from_couplings(sb.CouplingSet(rng.normal(size=n)))
+        h1, h2 = -h0, random_branch(rng, n)
+        _, amps = random_model(rng, n)
+        for t in (0.3, -1.7, 4.0):
+            for h in (h1, h2, h1, h2):
+                got = np.complex128(sb.echo_amplitude(h0, h, amps, t))
+                assert got.tobytes() == two_exponential_echo(h0, h, amps, t).tobytes()
+                assert sb.survival_probability(h, amps, t) == two_exponential_survival(h, amps, t)
+        # An equal pair held in new objects is a new key, with the same value.
+        twin = sb.DiagonalBranchHamiltonian(h1.up, h1.down)
+        assert sb.echo_amplitude(h0, twin, amps, 0.3) == sb.echo_amplitude(h0, h1, amps, 0.3)
 
 
 class TestSurvivalProbability:

@@ -86,6 +86,33 @@ class TestGaussianForms:
         )
         assert sb.gaussian_decoherence(centered, 1.3).imag == 0.0
 
+    @staticmethod
+    def _overflowing_summary(up_weight: float):
+        # g^2 overflows, so with up weight 0.9 the variance is inf.
+        amps = sb.EnvironmentAmplitudes.from_up_weights([up_weight, up_weight])
+        with np.errstate(over="ignore"):
+            return sb.summarize(sb.CouplingSet([1e300, 2e300]), amps)
+
+    def test_infinite_variance_is_one_at_zero_and_zero_after(self):
+        s = self._overflowing_summary(0.9)
+        assert s.mean == 2.4e300 and s.variance == math.inf
+        for t in (0.0, -0.0):
+            value = sb.gaussian_decoherence(s, t)
+            assert value == 1.0 and not math.copysign(1.0, value.imag) < 0.0
+        for t in (1e10, 5e-324, -3.0):
+            value = sb.gaussian_decoherence(s, t)
+            assert value == 0j and math.copysign(1.0, value.real) > 0.0
+
+    def test_overflowing_phase_under_a_nonzero_envelope_rejected(self):
+        # Up weight 1 gives zero variance, so the envelope is 1 at every t,
+        # while the mean energy 2e150 times t = 1e160 overflows.
+        amps = sb.EnvironmentAmplitudes.from_up_weights([1.0, 1.0])
+        s = sb.summarize(sb.CouplingSet([1e150, 1e150]), amps)
+        assert s.variance == 0.0
+        assert sb.gaussian_decoherence(s, 1e-150) == complex(math.cos(2.0), math.sin(2.0))
+        with pytest.raises(sb.ValidationError, match="phase"):
+            sb.gaussian_decoherence(s, 1e160)
+
     def test_magnitude_monotone_in_abs_time(self):
         s = self._summary()
         ts = np.linspace(0.0, 3.0, 50)
@@ -268,6 +295,15 @@ class TestEmpiricalTimeAverage:
         expected = np.array([abs(sb.decoherence_factor(c, a, t)) ** 2 for t in times])
         assert np.all(expected > 1e-300)
         assert np.array_equal(sq.view(np.int64), expected.view(np.int64))
+
+    def test_default_horizon_beyond_the_float_range_rejected(self):
+        # 100 periods of a 5e-324 coupling overflow; the horizon the
+        # caller never passed must not appear as "horizon must be finite".
+        c = sb.CouplingSet([5e-324, 1.0])
+        a = sb.EnvironmentAmplitudes.from_up_weights([0.9, 0.9])
+        with pytest.raises(sb.ValidationError, match=r"slowest coupling 5e-324 .*pass a horizon"):
+            sb.check_time_average(c, a)
+        assert sb.check_time_average(c, a, horizon=100.0, samples=64).horizon == 100.0
 
     def test_estimator_matches_closed_form(self):
         c = sb.CouplingSet(np.sqrt([2.0, 3.0, 5.0, 7.0]))

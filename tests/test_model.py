@@ -8,7 +8,15 @@ from hypothesis import given, settings
 
 import spinbath as sb
 from spinbath.model import _BLOCK_BYTES, _branch_product
-from helpers import branch_overlap, kron_branch_state, models, random_model, times
+from helpers import (
+    EDGE_TIMES,
+    branch_overlap,
+    edge_couplings,
+    kron_branch_state,
+    models,
+    random_model,
+    times,
+)
 
 
 class TestTypes:
@@ -275,19 +283,6 @@ def _two_exponential_product(up_w, down_w, g, t):
     return np.multiply.reduce(factors, axis=-1)
 
 
-def _edge_couplings(rng, n):
-    """Couplings of magnitude 1e-310 to 1e3, with signed zeros mixed in."""
-    g = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-310.0, 3.0, n)
-    g[rng.random(n) < 0.15] = 0.0
-    g[rng.random(n) < 0.15] = -0.0
-    return g
-
-
-#: Zero and negative times, g t that underflows to +-0 for the smallest
-#: couplings, and |g t| up to 1e5.
-_EDGE_TIMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-200, 1e-3, -0.7, 2.5, -99.0, 100.0]
-
-
 class TestMirroredKernel:
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     def test_bits_equal_two_exponentials(self, n):
@@ -295,26 +290,26 @@ class TestMirroredKernel:
         # of e^{-i g t} taken as the conjugate of e^{i g t}.
         rng = np.random.default_rng(n)
         for _ in range(50):
-            g = _edge_couplings(rng, n)
+            g = edge_couplings(rng, n)
             up_w = rng.random(n)
             down_w = 1.0 - up_w
-            column = np.array(_EDGE_TIMES)[:, np.newaxis]
+            column = np.array(EDGE_TIMES)[:, np.newaxis]
             got = _branch_product(up_w, down_w, g, None, column)
             want = _two_exponential_product(up_w, down_w, g, column)
             want[column[:, 0] == 0.0] = 1.0
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == _branch_product(up_w, down_w, g, -g, column).tobytes()
-            for t, row in zip(_EDGE_TIMES, got):
+            for t, row in zip(EDGE_TIMES, got):
                 one = np.complex128(_branch_product(up_w, down_w, g, None, t))
                 assert one.tobytes() == row.tobytes()
 
     def test_trace_equals_factor_at_edge_times(self):
         rng = np.random.default_rng(30)
         for n in (1, 30):
-            c = sb.CouplingSet(_edge_couplings(rng, n))
+            c = sb.CouplingSet(edge_couplings(rng, n))
             a = sb.EnvironmentAmplitudes.from_up_weights(rng.random(n))
-            trace = sb.decoherence_trace(c, a, np.array(_EDGE_TIMES))
-            for t, v in zip(_EDGE_TIMES, trace.values):
+            trace = sb.decoherence_trace(c, a, np.array(EDGE_TIMES))
+            for t, v in zip(EDGE_TIMES, trace.values):
                 want = np.complex128(sb.decoherence_factor(c, a, t))
                 assert v.tobytes() == want.tobytes()
 

@@ -49,11 +49,14 @@ bound on n roundings in sequence:
   roundings, so |L - L*| <= 2 gamma_{4N-1} L*.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
 import spinbath as sb
+from helpers import closed_form_ensemble_mean
 
 U = 2.0**-53
 
@@ -162,3 +165,79 @@ def test_long_time_average_within_rounding_bound_of_exact_product(dist, rule):
             exact *= (1 + (mpmath.mpf(a_k) - b_k) ** 2) / 2
         error = abs(sb.long_time_average_sq(amps) - exact)
         assert error <= 2 * gamma(4 * amps.n - 1) * exact
+
+
+def exact_coupling_characteristic(dist: sb.CouplingDistribution, t: float) -> mpmath.mpc:
+    """phi*(t) = E e^{i g t} at the working precision, from the float
+    parameters and t taken as exact."""
+    t = mpmath.mpf(t)
+    p = [mpmath.mpf(x) for x in dist.params]
+    if dist.kind == "fixed":
+        return mpmath.expj(p[0] * t)
+    if dist.kind == "gaussian":
+        return mpmath.exp(mpmath.mpc(-((p[1] * t) ** 2) / 2, p[0] * t))
+    if dist.kind == "lorentzian":
+        return mpmath.exp(mpmath.mpc(-p[1] * abs(t), p[0] * t))
+    half_sum, half_width = (p[0] + p[1]) / 2, (p[1] - p[0]) / 2
+    sinc = mpmath.sin(half_width * t) / (half_width * t) if t else mpmath.mpf(1)
+    return mpmath.expj(half_sum * t) * sinc
+
+
+def phase_size(dist: sb.CouplingDistribution, t: float) -> float:
+    """The magnitude a(t) of the rounded arguments of phi's exponential."""
+    p = dist.params
+    if dist.kind == "fixed":
+        return abs(p[0] * t)
+    if dist.kind == "gaussian":
+        return abs(p[0] * t) + 0.5 * (p[1] * t) ** 2
+    if dist.kind == "lorentzian":
+        return abs(p[0] * t) + p[1] * abs(t)
+    return abs(0.5 * (p[0] + p[1]) * t)
+
+
+#: Sizes below 100, where numpy raises a complex number to an integer
+#: power by repeated squaring; the ensemble tests use N = 6 and 20.
+ENSEMBLE_SIZES = [1, 6, 24, 99]
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_closed_form_ensemble_mean_within_rounding_bound_of_exact_power(dist, rule):
+    """``helpers.closed_form_ensemble_mean`` against (w phi*(t) + (1 - w)
+    phi*(-t))^N at 200 bits.
+
+    phi rounds the arguments of its exponential, of total size a(t) (see
+    ``phase_size``), each to within u relative: 2u for the uniform phase
+    (lo + hi) t / 2, 3u for the Gaussian exponent (sigma t)^2 / 2.  The
+    exponential, its cosine and sine and the uniform law's sinc add at
+    most 13u: np.sinc's argument errs by 4u relative (np.pi cancels),
+    which moves sin(x) / x by at most 4u |cos x - sin(x) / x| <= 8u.  So
+    |phi - phi*| <= u (3 a + 13), as |phi*| <= 1.  The weights 1 - w and
+    the two products and the sum add 3u, so the inner z errs by at most
+    u (3 a + 16).  Repeated squaring reaches z^N through products that
+    each err by at most sqrt(5) u relative, and the error of the j-th
+    squaring is raised to the power N >> j, so the power adds at most
+    2 sqrt(5) N u relative.  A product that underflows errs instead by
+    up to 2^-1075 absolute in each of its two real products per
+    component; at most 2 log2 N complex products, the two in z and phi's
+    exponential can do so, and a later product by a factor of modulus at
+    most 1 (or the square of a value that underflowed) does not grow what
+    they lost.  To first order, with c = 2 for the rest,
+
+        |r - r*| <= 2 N u |z*|^(N-1) (3 a + 16 + 2 sqrt(5) |z*|)
+                    + 2 sqrt(2) (2 log2 N + 3) 2^-1074.
+    """
+    dist, rule = sb.CouplingDistribution.parse(dist), sb.AmplitudeRule.parse(rule)
+    w = rule.up_weight if rule.kind == "fixed" else 0.5
+    for n in ENSEMBLE_SIZES:
+        values = closed_form_ensemble_mean(dist, rule, n, TIMES).tolist()
+        for t, value in zip(TIMES.tolist(), values):
+            with mpmath.workprec(200):
+                z = w * exact_coupling_characteristic(dist, t) + (
+                    1 - mpmath.mpf(w)
+                ) * exact_coupling_characteristic(dist, -t)
+                error = abs(mpmath.mpc(value) - z**n)
+                slack = 3 * phase_size(dist, t) + 16 + 2 * 5**0.5 * abs(z)
+                underflow = 2 * 2**0.5 * (2 * math.log2(n) + 3) * mpmath.mpf(2) ** -1074
+                bound = 2 * n * U * abs(z) ** (n - 1) * slack + underflow
+            assert error <= bound, f"N = {n}, t = {t!r}: error {float(error):.3g} > bound {float(bound):.3g}"

@@ -64,7 +64,8 @@ def summarize(couplings: CouplingSet, amps: EnvironmentAmplitudes) -> Statistics
     up_w, down_w = amps.alpha_sq, amps.beta_sq
     a = (up_w - down_w) * g
     # The product form keeps b_k^2 >= 0 exactly; g^2 - a^2 can round negative.
-    b2 = 4.0 * up_w * down_w * np.square(g)
+    w4 = 4.0 * up_w * down_w  # a zero weight adds 0.0, even where g^2 overflows
+    b2 = w4 * np.square(np.where(w4 > 0.0, g, 0.0))
     return StatisticsSummary(
         step_means=a, step_variances=b2, mean=float(a.sum()), variance=float(b2.sum())
     )
@@ -141,9 +142,10 @@ def lindeberg_check(
     steps = np.sqrt(summary.step_variances)
     ratio = float(steps.max() / total)
 
-    # Reconstruct the two-point outcome deviations from (a_k, b_k^2):
-    # outcomes +-|g_k| with up-weight (|g_k| + a_k) / (2 |g_k|).
-    a = summary.step_means
+    # Reconstruct the two-point outcome deviations from (a_k, b_k^2): outcomes
+    # +-|g_k| with up-weight (|g_k| + a_k) / (2 |g_k|).  A step with b_k^2 = 0
+    # is a point mass, which adds 0 to the tail even where a_k^2 overflows.
+    a = np.where(summary.step_variances > 0.0, summary.step_means, 0.0)
     g_abs = np.sqrt(np.square(a) + summary.step_variances)
     safe = np.where(g_abs > 0.0, g_abs, 1.0)
     up_w = np.where(g_abs > 0.0, (g_abs + a) / (2.0 * safe), 0.5)

@@ -205,10 +205,11 @@ def _checked_int(value, what: str) -> int:
     """value as an int; a bool or a value with a fractional part raises,
     where int() would take True as 1 and 2.5 as 2.
 
-    Python and numpy integers pass, and so do floats holding a whole number.
+    Python and numpy integers, whole-number floats and 0-d arrays of them pass.
     """
     if type(value) is int:
         return value
+    value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
     whole = isinstance(value, (float, np.floating)) and value.is_integer()
     if whole or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)

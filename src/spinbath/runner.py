@@ -263,13 +263,13 @@ def _spectrum_for(cfg: RunConfig) -> tuple[EnergySpectrum, dict[str, Any]]:
     """The walk spectrum of a single-model run, merged if ``cfg.merge``,
     and the manifest details that say how."""
     couplings, amps = _model(cfg)
-    spec = enumerate_walks(couplings, amps)
     if not cfg.merge:
-        return spec, {"merged": spec.merged}
+        return enumerate_walks(couplings, amps), {"merged": False}
     epsilon = (
         cfg.merge_epsilon if cfg.merge_epsilon is not None else default_merge_epsilon(couplings)
     )
-    spec = merge_degenerate(spec, epsilon)
+    # No name holds the walk spectrum, so the merge frees it once sorted.
+    spec = merge_degenerate(enumerate_walks(couplings, amps), epsilon)
     return spec, {"merged": spec.merged, "merge_epsilon": epsilon}
 
 

@@ -58,6 +58,15 @@ class EnergySpectrum:
         object.__setattr__(self, "energies", np.array(self.energies, dtype=np.float64))
         object.__setattr__(self, "weights", np.array(self.weights, dtype=np.float64))
         self._freeze()
+        # Weights are checked here only: producers build theirs from checked
+        # weights.  Energies, which can overflow, or tie when merged with
+        # epsilon below one ulp, are checked in _freeze on every path.
+        w = self.weights
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+            raise ValidationError("spectrum weights must be finite and nonnegative")
+        total = float(np.sum(w))
+        if not abs(total - 1.0) <= _WEIGHT_TOL:
+            raise ValidationError(f"spectrum weights sum to {total!r}, not 1")
 
     def _freeze(self) -> None:
         n_spins = _checked_n_spins(self.n_spins)
@@ -65,14 +74,8 @@ class EnergySpectrum:
         e, w = self.energies, self.weights
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
             raise ValidationError("spectrum needs matching non-empty 1-d arrays")
-        held = _held(w)
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(held))):
-            raise ValidationError("spectrum energies and weights must be finite")
-        if np.any(held < 0.0):
-            raise ValidationError("spectrum weights must be nonnegative")
-        total = float(np.sum(w))
-        if not abs(total - 1.0) <= _WEIGHT_TOL:
-            raise ValidationError(f"spectrum weights sum to {total!r}, not 1")
+        if not np.all(np.isfinite(e)):
+            raise ValidationError("spectrum energies must be finite")
         if self.merged and not _gaps_above(e, 0.0, np.empty(e.size - 1, dtype=bool)).all():
             raise ValidationError("merged spectrum must have strictly increasing energies")
         object.__setattr__(self, "n_spins", n_spins)
@@ -177,23 +180,29 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     When all weights are equal, as for equal amplitudes, only the
     energies are sorted; otherwise an index sort carries the weights
     along.  Both give the same bits.
+
+    It drops ``spectrum`` once its arrays are read, and the walk energies
+    once sorted, before it gathers weights: Python 3.11+ moves arguments
+    into the callee, so ``merge_degenerate(enumerate_walks(c, a), eps)``
+    frees the walk arrays mid-merge.  A spectrum the caller keeps is kept.
     """
     epsilon = _checked_float(epsilon, "merge epsilon")
     if epsilon < 0.0:
         raise ValidationError("merge epsilon must be nonnegative")
-    w = spectrum.weights
-    held = _held(w)
-    one_value = held.min() == held.max()
+    e, w, n_spins = spectrum.energies, spectrum.weights, spectrum.n_spins
+    one_value = _held(w).min() == _held(w).max()
+    del spectrum
     if one_value:
         # Weights that sum to 1 and compare equal have equal bits, so any
         # permutation of w is w.  Equal energies have equal bits too, save
         # +-0.0, and the group sums below give +0.0 for either zero.
-        e = np.sort(spectrum.energies)
+        w = w[:1].copy()
+        e = np.sort(e)
     else:
         # argsort's default kind sets the tie order, and so each group's
         # summation order; another kind would change merged bits.
-        order = np.argsort(spectrum.energies)
-        e = spectrum.energies[order]
+        order = np.argsort(e)
+        e = e[order]
         w = w[order]
         del order
     starts = np.empty(e.size, dtype=bool)
@@ -209,14 +218,14 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     idx = np.flatnonzero(member)
     del member
     e_sub, head = e[idx], starts[idx]
-    w_sub = np.broadcast_to(held[:1], idx.shape) if one_value else w[idx]
+    w_sub = np.broadcast_to(w, idx.shape) if one_value else w[idx]
     # A singleton group's sums are base + 0.0 and 0.0 + w, which only
     # change -0.0 (to 0.0); adding 0.0 in place gives the same bits.
     levels = _compacted(e, starts)
     del e
     levels += 0.0
     if one_value:
-        level_w = np.full(levels.size, held[0] + 0.0)
+        level_w = np.full(levels.size, w[0] + 0.0)
     else:
         level_w = _compacted(w, starts)
         level_w += 0.0
@@ -239,9 +248,7 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     rows = heads - np.searchsorted(joins, heads)
     levels[rows] = base + mean_delta
     level_w[rows] = w_sum
-    return _adopt(
-        EnergySpectrum, energies=levels, weights=level_w, n_spins=spectrum.n_spins, merged=True
-    )
+    return _adopt(EnergySpectrum, energies=levels, weights=level_w, n_spins=n_spins, merged=True)
 
 
 def _compacted(a: np.ndarray, keep: np.ndarray) -> np.ndarray:

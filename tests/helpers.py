@@ -1,4 +1,4 @@
-"""Shared oracles and strategies for the test suite.
+"""Shared oracles, strategies and fixtures for the test suite.
 
 The oracles here deliberately avoid the library's own code paths:
 walk enumeration uses itertools over explicit sign tuples, branch
@@ -8,11 +8,14 @@ group of the whole array.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 import spinbath as sb
+from spinbath import echo, model, spectrum
 
 
 def edge_couplings(rng, n):
@@ -88,6 +91,36 @@ def whole_array_merge(energies, weights, epsilon: float):
         plain = np.bincount(group, weights=delta) / counts
         mean_delta = np.where(w_sum > 0.0, mean_delta, plain)
     return base + mean_delta, w_sum
+
+
+def public_rebuild(spec: sb.EnergySpectrum) -> sb.EnergySpectrum:
+    """spec rebuilt through the public constructor, which runs the checks
+    that producers skip (their weights are built from checked ones); the
+    copies must hold the same bits."""
+    rebuilt = sb.EnergySpectrum(
+        energies=spec.energies, weights=spec.weights, n_spins=spec.n_spins, merged=spec.merged
+    )
+    assert rebuilt.energies.tobytes() == spec.energies.tobytes()
+    assert rebuilt.weights.tobytes() == spec.weights.tobytes()
+    return rebuilt
+
+
+@pytest.fixture(scope="module")
+def every_spectrum_rebuilt():
+    """Runs public_rebuild on every spectrum the library adopts while a
+    test module runs, save under tracemalloc, where its copies would count
+    in the measured peak.  Module-scoped, so hypothesis tests may use it."""
+
+    def adopt(cls, **fields):
+        obj = model._adopt(cls, **fields)
+        if cls is sb.EnergySpectrum and not tracemalloc.is_tracing():
+            public_rebuild(obj)
+        return obj
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (spectrum, echo):
+            patch.setattr(module, "_adopt", adopt)
+        yield
 
 
 def brute_force_characteristic(couplings, amps, t: float) -> complex:

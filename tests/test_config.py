@@ -112,10 +112,14 @@ def test_bounds_checked():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("n", 3.9), ("steps", 4.5), ("seed", 2.9), ("realizations", 1.5), ("samples", 100.5), ("bins", 7.5), ("n", True)],
+    [
+        ("n", 3.9), ("steps", 4.5), ("seed", 2.9), ("realizations", 1.5), ("samples", 100.5), ("bins", 7.5),
+        ("n", True), ("n", np.array(2.5)), ("n", np.array(True)), ("n", np.array([5])),
+    ],
 )
 def test_non_integer_counts_rejected(field, value):
-    # int() would store 3, 4, 2, 1, 100, 7 and 1.
+    # int() would store 3, 4, 2, 1, 100, 7 and 1.  A 0-d array is read as
+    # the scalar it holds, a 1-d array is no count.
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         RunConfig(experiment="trace", **{field: value})
 
@@ -124,6 +128,9 @@ def test_numpy_and_whole_float_counts_accepted():
     cfg = RunConfig(experiment="ldos", n=np.int64(5), steps=7.0, seed=np.uint64(3), bins=np.int32(9))
     assert (cfg.n, cfg.steps, cfg.seed, cfg.bins) == (5, 7, 3, 9)
     assert all(type(v) is int for v in (cfg.n, cfg.steps, cfg.seed, cfg.bins))
+    # 0-d arrays, as _checked_float takes them.
+    cfg = RunConfig(experiment="trace", n=np.array(5), steps=np.array(7.0))
+    assert (cfg.n, cfg.steps) == (5, 7) and type(cfg.n) is type(cfg.steps) is int
 
 
 def test_bad_grid_surfaces_as_config_error():

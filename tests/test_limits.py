@@ -34,6 +34,34 @@ class TestSummarize:
         assert s.mean == pytest.approx(-0.5, abs=1e-12)
         assert s.variance == pytest.approx(4.75, abs=1e-12)
 
+    def test_zero_weight_spin_adds_zero_where_g_squared_overflows(self):
+        # 4 |alpha|^2 |beta|^2 g^2 was 0 * inf = NaN for g = 1e200 with
+        # |beta|^2 = 0.  Such a spin is a point mass and adds exactly 0.0;
+        # an overflow or invalid-value warning would fail this test.
+        s = sb.summarize(sb.CouplingSet([1e200, 3.0]), sb.EnvironmentAmplitudes.from_up_weights([1.0, 0.5]))
+        assert s.step_variances[0] == 0.0 and s.variance == pytest.approx(9.0, abs=1e-12)
+        assert math.isfinite(sb.gaussian_validity_window(s))
+        report = sb.lindeberg_check(s)
+        assert math.isfinite(report.max_step_ratio) and math.isfinite(report.tail_mass)
+        assert math.isfinite(abs(sb.gaussian_decoherence(s, 0.1)))
+
+    def test_step_variances_keep_the_product_bits(self):
+        # Spins with nonzero weights on both branches keep 4 up down g^2
+        # bit for bit, overflowing to inf or not; zero-weight spins add +0.0.
+        rng = np.random.default_rng(21)
+        w = rng.random(64)
+        w[::7] = 1.0
+        w[3::7] = 0.0
+        g = rng.standard_normal(64) * 10.0 ** rng.uniform(-200, 200, 64)
+        a = sb.EnvironmentAmplitudes.from_up_weights(w)
+        zero = a.alpha_sq * a.beta_sq == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = 4.0 * a.alpha_sq * a.beta_sq * np.square(g)
+            got = sb.summarize(sb.CouplingSet(g), a).step_variances
+        assert zero.sum() == 19 and np.isnan(want[zero]).any() and np.isinf(want[~zero]).any()
+        want[zero] = 0.0
+        assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(model=models())
     def test_step_variance_identity(self, model):

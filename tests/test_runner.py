@@ -14,7 +14,11 @@ import spinbath as sb
 from spinbath.config import RunConfig
 from spinbath import runner
 from spinbath.runner import run
-from helpers import random_model
+from helpers import every_spectrum_rebuilt, random_model  # the fixture is used through pytestmark
+
+# Every spectrum these runs produce is also rebuilt through the public
+# constructor, which runs the weight checks that producers skip.
+pytestmark = pytest.mark.usefixtures("every_spectrum_rebuilt")
 
 
 def read_csv(path):

@@ -17,12 +17,17 @@ from spinbath.model import _adopt
 from helpers import (
     brute_force_characteristic,
     brute_force_spectrum,
+    every_spectrum_rebuilt,  # a fixture, used through pytestmark
     exact_half_amplitudes,
     make_amplitudes,
     models,
     random_model,
     whole_array_merge,
 )
+
+# Every spectrum these tests produce is also rebuilt through the public
+# constructor, which runs the weight checks that producers skip.
+pytestmark = pytest.mark.usefixtures("every_spectrum_rebuilt")
 
 
 def traced_peak(fn, *args):
@@ -152,11 +157,21 @@ class TestEnergySpectrum:
     @pytest.mark.parametrize("weight, match", [(np.nan, "finite"), (-0.25, "nonnegative")])
     @pytest.mark.parametrize("shared", [True, False], ids=["broadcast", "contiguous"])
     def test_bad_weight_rejected_before_sum(self, weight, match, shared):
-        # A 0-stride view is checked through its one stored value, an
-        # array through all of them; the bad value is last in the array.
+        # The public constructor checks every weight, of a 0-stride view as
+        # of an array; the bad value is last in the array.  Producers that
+        # adopt their arrays build weights from checked ones and skip this.
         w = np.broadcast_to(np.array([weight]), (4,)) if shared else np.array([0.5] * 3 + [weight])
         with pytest.raises(sb.ValidationError, match=match):
-            _adopt(sb.EnergySpectrum, energies=np.arange(4.0), weights=w, n_spins=2, merged=False)
+            sb.EnergySpectrum(energies=np.arange(4.0), weights=w, n_spins=2, merged=False)
+
+    def test_produced_spectra_are_rebuilt_publicly(self):
+        # The module's fixture catches a producer whose weights break the
+        # public checks, which adopting them alone does not run.
+        w = np.array([0.5] * 3 + [np.nan])
+        spec = _adopt(sb.EnergySpectrum, energies=np.arange(4.0), weights=w, n_spins=2)
+        assert np.isnan(spec.weights[-1])
+        with pytest.raises(sb.ValidationError, match="finite"):
+            spectrum_module._adopt(sb.EnergySpectrum, energies=np.arange(4.0), weights=w, n_spins=2)
 
     @pytest.mark.parametrize(
         "n_spins", [-3, 0, True, 2.0, "2", None], ids=["negative", "zero", "bool", "float", "str", "none"]
@@ -238,6 +253,35 @@ class TestEnergySpectrum:
         else:
             assert len(merged) > 2 ** (n - 1)
         assert peak < walk_arrays * 8 * 2**n
+
+    @pytest.mark.parametrize(
+        "rule, walk_arrays",
+        [pytest.param("equal", 2.75, id="equal-2.75"), pytest.param("random", 4.25, id="random-4.25")],
+    )
+    def test_merge_of_fresh_walks_peak_in_walk_arrays(self, rule, walk_arrays):
+        # N = 18 with Gaussian couplings, enumeration included.  No name
+        # holds the walk spectrum, so the merge frees its energies once
+        # they are sorted (equal weights: sorted copy, level weights and
+        # masks; 3.5 arrays while the walks were held) or gathered (random
+        # weights: walk weights, permutation and both gathered copies at
+        # most; 5.0 while held).
+        n = 18
+        c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 5)
+        a = sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), n, 5)
+        eps = sb.default_merge_epsilon(c)
+        merged, peak = traced_peak(lambda: sb.merge_degenerate(sb.enumerate_walks(c, a), eps))
+        assert len(merged) > 2 ** (n - 1)
+        assert peak < walk_arrays * 8 * 2**n
+
+    @pytest.mark.parametrize("rule", ["equal", "random"])
+    def test_merge_leaves_a_kept_spectrum_whole(self, rule):
+        c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), 12, 5)
+        spec = sb.enumerate_walks(c, sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), 12, 5))
+        before = spec.energies.tobytes(), spec.weights.tobytes(), spec.weights.strides
+        merged = sb.merge_degenerate(spec, 0.05)
+        assert len(merged) < len(spec)
+        assert (spec.energies.tobytes(), spec.weights.tobytes(), spec.weights.strides) == before
+        assert not (spec.energies.flags.writeable or spec.weights.flags.writeable)
 
 
 class TestMergeDegenerate:

@@ -139,13 +139,10 @@ class AmplitudeRule:
     def parse(cls, text: str) -> "AmplitudeRule":
         """Parse 'equal', 'fixed(0.9)' or 'random'."""
         name, args = _parse_call(text, "amplitude rule")
-        if name == "fixed":
-            if len(args) != 1:
-                raise ValidationError("fixed amplitude rule takes one parameter")
-            return cls("fixed", args[0])
-        if args:
-            raise ValidationError(f"{name} amplitude rule takes no parameter")
-        return cls(name)
+        if len(args) > 1 or name == "fixed" and not args:  # counts the constructor cannot see
+            count = "one" if name == "fixed" else "no"
+            raise ValidationError(f"{name} amplitude rule takes {count} parameter")
+        return cls(name, *args)
 
     def __str__(self) -> str:
         if self.kind == "fixed":
@@ -224,13 +221,8 @@ def sample_amplitudes(
     z = standard_normal(gen, 4 * n)
     alpha = z[0::4] + 1j * z[1::4]
     beta = z[2::4] + 1j * z[3::4]
+    # A zero norm (p = 2^-106 per spin) gives NaN, which EnvironmentAmplitudes rejects.
     norm = np.sqrt(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
-    # A zero norm needs both Box-Muller radii to vanish; guard anyway.
-    degenerate = norm == 0.0
-    if np.any(degenerate):
-        alpha[degenerate] = 1.0
-        beta[degenerate] = 0.0
-        norm[degenerate] = 1.0
     return EnvironmentAmplitudes(alpha / norm, beta / norm)
 
 

@@ -11,7 +11,7 @@ and the long-time average of |r|^2 with its numerical estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,8 +20,10 @@ from .model import (
     CouplingSet,
     EnvironmentAmplitudes,
     decoherence_trace,
+    _adopt,
     _checked_float,
     _checked_int,
+    _intake,
     _readonly,
     _require_matching_sizes,
 )
@@ -34,16 +36,25 @@ VIOLATED = "violated"
 
 @dataclass(frozen=True, eq=False)
 class StatisticsSummary:
-    """Per-step means a_k and variances b_k^2 with their cumulative sums."""
+    """Per-step means a_k and variances b_k^2, and their sums ``mean`` and
+    ``variance``.  A step variance may be +inf, where g_k^2 overflows."""
 
     step_means: np.ndarray
     step_variances: np.ndarray
-    mean: float
-    variance: float
+    mean: float = field(init=False)
+    variance: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "step_means", _readonly(np.array(self.step_means, dtype=np.float64)))
-        object.__setattr__(self, "step_variances", _readonly(np.array(self.step_variances, dtype=np.float64)))
+        object.__setattr__(self, "step_means", _intake(self.step_means, np.float64, "step means"))
+        object.__setattr__(self, "step_variances", np.array(self.step_variances, dtype=np.float64))
+        shape, variances = self.step_means.shape, self.step_variances
+        if variances.shape != shape or not np.all(variances >= 0.0):  # a NaN fails too
+            raise ValidationError(f"need one step variance >= 0 per step mean, got {variances!r}")
+        self._freeze()
+
+    def _freeze(self) -> None:
+        object.__setattr__(self, "mean", float(_readonly(self.step_means).sum()))
+        object.__setattr__(self, "variance", float(_readonly(self.step_variances).sum()))
 
 
 @dataclass(frozen=True)
@@ -66,9 +77,7 @@ def summarize(couplings: CouplingSet, amps: EnvironmentAmplitudes) -> Statistics
     # The product form keeps b_k^2 >= 0 exactly; g^2 - a^2 can round negative.
     w4 = 4.0 * up_w * down_w  # a zero weight adds 0.0, even where g^2 overflows
     b2 = w4 * np.square(np.where(w4 > 0.0, g, 0.0))
-    return StatisticsSummary(
-        step_means=a, step_variances=b2, mean=float(a.sum()), variance=float(b2.sum())
-    )
+    return _adopt(StatisticsSummary, step_means=a, step_variances=b2)
 
 
 def gaussian_ldos(summary: StatisticsSummary, energy):
@@ -136,6 +145,8 @@ def lindeberg_check(
     threshold = _checked_float(threshold, "threshold")
     if threshold <= 0.0:
         raise ValidationError("threshold must be positive")
+    if not math.isfinite(summary.variance):
+        raise ValidationError(f"cumulative variance B_N^2 overflows to {summary.variance!r}")
     total = math.sqrt(summary.variance)
     if total == 0.0:
         raise DegenerateDistributionError("zero cumulative variance")

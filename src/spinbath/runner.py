@@ -103,36 +103,30 @@ _ZEROS = ("0.0", "-0.0")
 
 
 def _spelt(chunk: np.ndarray) -> Iterable[str]:
-    """The text of one array chunk of ``_cells``."""
-    bits = chunk.view(np.int64)
-    if (bits == bits[0]).all():
-        return itertools.repeat(repr(chunk[0].item()), chunk.size)
-    if chunk.dtype == np.float64 and chunk[0] == 0.0 and not chunk.any():
-        return map(_ZEROS.__getitem__, np.signbit(chunk).tolist())
-    return map(repr, chunk.tolist())
-
-
-def _cells(col: _Column, rows: int) -> Iterator[Iterable[str]]:
-    """The text of each value of a column, one chunk of rows at a time.
+    """The text of each value of an array chunk of ``_pieces``.
 
     ``tolist`` yields Python ints and floats, whose ``repr`` is the
     shortest round-trip form, in CSV cells and JSON numbers alike, since
     every value is finite (``_write_table`` checks).  Columns are float64
-    or int64, whose bits view as int64.  Three kinds of chunk skip
-    ``repr`` per row, with the same text:
+    or int64, whose bits view as int64.  Two kinds of chunk skip ``repr``
+    per row, with the same text (``_pieces`` spells a ``_Tiled`` column's
+    tile once per table):
 
     - every row has the same bits, such as a repeated walk weight: the
       value is formatted once.  Comparing bits, not values, keeps -0.0
       and 0.0 apart;
     - a float64 chunk of zeros only (``not chunk.any()``), such as the
       imaginary part of a real r(t): ``repr`` of a zero is ``0.0`` or
-      ``-0.0``, so its sign bit picks the text;
-    - a ``_Tiled`` column: the tile is formatted once per table.
+      ``-0.0``, so its sign bit picks the text.
 
     ``_csv_blocks`` adds one rule across columns.
     """
-    for piece in _pieces(col, rows):
-        yield _spelt(piece) if isinstance(piece, np.ndarray) else piece
+    bits = chunk.view(np.int64)
+    if (bits == bits[0]).all():
+        return itertools.repeat(repr(chunk[0].item()), chunk.size)
+    if chunk.dtype == np.float64 and chunk[0] == 0.0 and not chunk.any():
+        return map(_ZEROS.__getitem__, np.signbit(chunk).tolist())
+    return map(repr, chunk.tolist())
 
 
 def _is_abs(chunk: np.ndarray, source: np.ndarray) -> bool:
@@ -147,7 +141,7 @@ def _is_abs(chunk: np.ndarray, source: np.ndarray) -> bool:
 def _csv_blocks(columns: dict[str, _Column], rows: int) -> Iterator[str]:
     """The CSV lines of the columns, one chunk of rows per block.
 
-    Cells are spelt as by ``_cells``, with one more rule: a float64
+    Cells are spelt as by ``_spelt``, with one more rule: a float64
     chunk with the bits of ``np.abs`` of an earlier float64 column's
     chunk, such as ``abs_r`` beside the ``re_r`` of a real r(t), takes
     that column's cells with any leading ``-`` dropped.  This is exact:
@@ -185,9 +179,9 @@ def _json_blocks(columns: dict[str, _Column], rows: int) -> Iterator[str]:
         yield f"{opening}\n  {json.dumps(header)}: ["
         opening = ","
         separator = "\n    "
-        for chunk in _cells(col, rows):
+        for piece in _pieces(col, rows):
             yield separator
-            yield ",\n    ".join(chunk)
+            yield ",\n    ".join(_spelt(piece) if isinstance(piece, np.ndarray) else piece)
             separator = ",\n    "
         yield "\n  ]" if rows else "]"
     yield "\n}\n"

@@ -146,8 +146,11 @@ def enumerate_walks(couplings: CouplingSet, amps: EnvironmentAmplitudes) -> Ener
             f"enumerating {n} spins needs 2^{n} = {2 ** n} walks; cap is {ENUMERATION_CAP} "
             "(use the product formula or sampling above the cap)"
         )
-    size = 1 << n
     g = couplings.couplings
+    reach = sum(map(abs, g.tolist()))  # Python floats overflow without a numpy warning
+    if not math.isfinite(reach):
+        raise ValidationError(f"sum of |couplings| overflows to {reach!r}; walk energies would too")
+    size = 1 << n
     up_w, down_w = amps.alpha_sq, amps.beta_sq
     uniform = np.array_equal(up_w, down_w)
     energies = np.zeros(size)

@@ -312,6 +312,17 @@ def test_overflowing_phases_exit_2_without_writing(tmp_path, capsys, command):
     assert list(out.iterdir()) == []
 
 
+def test_overflowing_walk_energies_name_the_couplings(tmp_path, capsys):
+    # Twelve couplings of 1e308 sum past the float range; the run names
+    # that sum before it allocates, not the spectrum it would have built.
+    out = tmp_path / "huge"
+    argv = ["spectrum", "--n", "12", "--couplings", "fixed(1e308)", "--out-dir", str(out), "--quiet"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error[config]: sum of |couplings| overflows to inf; walk energies would too" in err
+    assert list(out.iterdir()) == []
+
+
 def test_echo_near_the_float_limit_matches_trace(tmp_path):
     # 2g overflows at g = 1e308, but g t does not at t <= 1e-300.
     model = ["--n", "2", "--couplings", "fixed(1e308)", "--stop", "1e-300", "--steps", "3"]

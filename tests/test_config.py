@@ -139,6 +139,12 @@ def test_bad_grid_surfaces_as_config_error():
         cfg.time_grid()
 
 
+def test_out_dir_that_is_not_a_path_is_a_config_error():
+    # Path(5) raises TypeError inside RunConfig; build_config names it.
+    with pytest.raises(ConfigError, match="not int"):
+        build_config({}, {"experiment": "trace", "out_dir": 5})
+
+
 def test_validation_error_wrapped():
     with pytest.raises(ConfigError):
         build_config({}, {"experiment": "trace", "distribution": "not-a-distribution", "bogus": 1})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spinbath as sb
+from spinbath import ensembles
 from helpers import closed_form_ensemble_mean
 
 
@@ -52,6 +53,24 @@ class TestAmplitudeRule:
             sb.AmplitudeRule.parse("fixed(1.5)")
         with pytest.raises(sb.ValidationError):
             sb.AmplitudeRule.parse("equal(0.3)")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("fixed", "fixed amplitude rule takes one parameter"),
+            ("fixed(0.1, 0.2)", "fixed amplitude rule takes one parameter"),
+            ("equal(0.3)", "equal amplitude rule takes no parameter"),
+            ("random(1, 2)", "random amplitude rule takes no parameter"),
+            ("bogus", "unknown amplitude rule 'bogus'"),
+            ("bogus(1)", "unknown amplitude rule 'bogus'"),
+        ],
+    )
+    def test_parse_names_the_parameter_count(self, text, message):
+        # parse counts only what the constructor cannot see: more than one
+        # argument, or fixed with none.  The constructor checks the rest.
+        with pytest.raises(sb.ValidationError) as info:
+            sb.AmplitudeRule.parse(text)
+        assert str(info.value) == message
 
 
 class TestSampling:
@@ -111,6 +130,15 @@ class TestSampling:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         again = sb.sample_amplitudes(sb.AmplitudeRule.random(), 256, seed=11, stream=9)
         np.testing.assert_array_equal(amps.alpha, again.alpha)
+
+    def test_zero_norm_pair_is_rejected_not_replaced(self, monkeypatch):
+        # Both Box-Muller radii of a spin vanish with probability 2^-106.
+        # The NaN pair 0 / 0 is refused by the amplitudes' finiteness check,
+        # where it used to become (1, 0) silently.
+        monkeypatch.setattr(ensembles, "standard_normal", lambda gen, size: np.zeros(size))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(sb.ValidationError, match="amplitudes must be finite"):
+                sb.sample_amplitudes(sb.AmplitudeRule.random(), 3, seed=1)
 
     def test_random_up_weights_cover_unit_interval(self):
         # Haar pairs put |alpha|^2 uniform on [0, 1].

@@ -45,6 +45,22 @@ class TestSummarize:
         assert math.isfinite(report.max_step_ratio) and math.isfinite(report.tail_mass)
         assert math.isfinite(abs(sb.gaussian_decoherence(s, 0.1)))
 
+    def test_totals_are_the_sums_of_the_steps(self):
+        # The constructor takes the steps only and derives mean and
+        # variance from them, so the two cannot disagree.
+        s = sb.summarize(*random_model(np.random.default_rng(5), 40))
+        assert s.mean == float(s.step_means.sum())
+        assert s.variance == float(s.step_variances.sum())
+        again = sb.StatisticsSummary(s.step_means, s.step_variances)
+        assert (again.mean, again.variance) == (s.mean, s.variance)
+        with pytest.raises(TypeError):
+            sb.StatisticsSummary(s.step_means, s.step_variances, 0.0, 1.0)
+
+    def test_infinite_step_variance_accepted(self):
+        # summarize gives +inf where g^2 overflows; the constructor agrees.
+        s = sb.StatisticsSummary([0.0, 1.0], [math.inf, 2.0])
+        assert s.variance == math.inf and s.mean == 1.0
+
     def test_step_variances_keep_the_product_bits(self):
         # Spins with nonzero weights on both branches keep 4 up down g^2
         # bit for bit, overflowing to inf or not; zero-weight spins add +0.0.
@@ -244,6 +260,17 @@ class TestLindeberg:
     def test_zero_variance_rejected(self):
         s = sb.summarize(sb.CouplingSet([1.0, 1.0]), make_amplitudes([1.0, 1.0]))
         with pytest.raises(sb.DegenerateDistributionError):
+            sb.lindeberg_check(s)
+
+    def test_infinite_variance_rejected(self):
+        # g^2 overflows for g = 1e200.  lindeberg_check warned and returned
+        # a NaN ratio and tail with a "violated" verdict; warnings are
+        # errors in this suite, so it must raise before any arithmetic.
+        amps = sb.EnvironmentAmplitudes.equal_superposition(2)
+        with np.errstate(over="ignore"):
+            s = sb.summarize(sb.CouplingSet([1e200, 1e200]), amps)
+        assert s.variance == math.inf
+        with pytest.raises(sb.ValidationError, match=r"cumulative variance B_N\^2 overflows to inf"):
             sb.lindeberg_check(s)
 
     def test_bad_threshold(self):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import spinbath as sb
+from spinbath import echo
 
 
 def stored_arrays(obj) -> list[np.ndarray]:
@@ -65,13 +66,20 @@ def _histogram():
 def _hamiltonian():
     up, down = np.array([1.0, -0.5, 2.0]), np.array([-1.0, 0.5, 0.0])
     h = sb.DiagonalBranchHamiltonian(up, down)
-    sb.echo_amplitude(h, -h, sb.EnvironmentAmplitudes(*_amplitude_arrays()), 1.0)  # caches halves
+    amps = sb.EnvironmentAmplitudes(*_amplitude_arrays())
+    sb.survival_probability(h, amps, 1.0)
+    assert "_rates" in vars(h)  # so the read-only check sees the cached rates
+    h1 = -h
+    sb.echo_amplitude(h, h1, amps, 1.0)
+    # The pair's halved rate differences live in the module's cache, not on h.
+    pair_rates = [a for a in echo._pair_rates(h, h1) if a is not None]
+    assert pair_rates and not any(a.flags.writeable for a in pair_rates)
     return h, [up, down]
 
 
 def _summary():
     means, variances = np.array([0.1, -0.2]), np.array([0.5, 0.25])
-    return sb.StatisticsSummary(means, variances, -0.1, 0.75), [means, variances]
+    return sb.StatisticsSummary(means, variances), [means, variances]
 
 
 def _ensemble_result():

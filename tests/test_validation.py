@@ -59,6 +59,29 @@ CASES = {
     "rule-parse-two-parameters": (
         lambda _: sb.AmplitudeRule.parse("fixed(0.1, 0.2)"), "takes one parameter"
     ),
+    "summary-empty": (lambda _: sb.StatisticsSummary([], []), "step means must form a non-empty 1-d"),
+    "summary-2d": (
+        lambda _: sb.StatisticsSummary([[1.0]], [[1.0]]), "step means must form a non-empty 1-d"
+    ),
+    "summary-means-infinite": (
+        lambda _: sb.StatisticsSummary([math.inf], [1.0]), "step means must be finite"
+    ),
+    "summary-variances-2d": (
+        lambda _: sb.StatisticsSummary([1.0], [[1.0]]),
+        "need one step variance >= 0 per step mean, got array([[1.]])",
+    ),
+    "summary-variances-short": (
+        lambda _: sb.StatisticsSummary([1.0, 2.0], [1.0]),
+        "need one step variance >= 0 per step mean, got array([1.])",
+    ),
+    "summary-variances-negative": (
+        lambda _: sb.StatisticsSummary([1.0], [-1.0]),
+        "need one step variance >= 0 per step mean, got array([-1.])",
+    ),
+    "summary-variances-nan": (
+        lambda _: sb.StatisticsSummary([1.0], [math.nan]),
+        "need one step variance >= 0 per step mean, got array([nan])",
+    ),
     "couplings-none": (lambda _: sb.sample_couplings(_FIXED, 0, 7), "at least one coupling"),
     "amplitudes-none": (
         lambda _: sb.sample_amplitudes(_EQUAL, 0, 7), "at least one amplitude pair"

@@ -8,9 +8,9 @@ A plain trace experiment is realization 0 of the matching ensemble.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .model import (
 from .rng import cauchy, rekeyed_generator, standard_normal
 
 _COUPLING_KINDS = {"fixed": 1, "uniform": 2, "gaussian": 2, "lorentzian": 2}
+_AMPLITUDE_KINDS = {"equal": 0, "fixed": 1, "random": 0}
 
 _SPEC_RE = re.compile(r"^\s*([a-z-]+)\s*(?:\(([^)]*)\))?\s*$")
 
@@ -113,7 +114,7 @@ class AmplitudeRule:
     up_weight: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("equal", "fixed", "random"):
+        if self.kind not in _AMPLITUDE_KINDS:
             raise ValidationError(f"unknown amplitude rule {self.kind!r}")
         if self.kind == "fixed":
             up_weight = _checked_float(self.up_weight, "up_weight")
@@ -139,8 +140,10 @@ class AmplitudeRule:
     def parse(cls, text: str) -> "AmplitudeRule":
         """Parse 'equal', 'fixed(0.9)' or 'random'."""
         name, args = _parse_call(text, "amplitude rule")
-        if len(args) > 1 or name == "fixed" and not args:  # counts the constructor cannot see
-            count = "one" if name == "fixed" else "no"
+        if name not in _AMPLITUDE_KINDS:
+            raise ValidationError(f"unknown amplitude rule {name!r}")
+        if len(args) != _AMPLITUDE_KINDS[name]:
+            count = "one" if _AMPLITUDE_KINDS[name] else "no"
             raise ValidationError(f"{name} amplitude rule takes {count} parameter")
         return cls(name, *args)
 
@@ -170,6 +173,14 @@ class EnsembleSpec:
         if self.realizations < 1:
             raise ValidationError("need at least one realization")
 
+    @cached_property
+    def _shared_amplitudes(self) -> EnvironmentAmplitudes | None:
+        """The amplitudes an 'equal' or 'fixed' rule gives every
+        realization, built once; None for 'random', which draws per stream."""
+        if self.amplitudes.kind == "random":
+            return None
+        return sample_amplitudes(self.amplitudes, self.n, self.seed)
+
 
 def sample_couplings(
     dist: CouplingDistribution, n: int, seed: int, *, stream: int = 0
@@ -194,19 +205,6 @@ def sample_couplings(
     return CouplingSet(values)
 
 
-@functools.lru_cache(maxsize=1)
-def _seedless_amplitudes(rule: AmplitudeRule, n: int, spelling: str) -> EnvironmentAmplitudes:
-    """The amplitudes of an 'equal' or 'fixed' rule, which ignore the seed.
-
-    One immutable instance serves every realization of an ensemble.  The
-    spelling ``str(rule)`` is part of the cache key because fixed(-0.0)
-    equals fixed(0.0) but gives alpha = -0.0.
-    """
-    if rule.kind == "equal":
-        return EnvironmentAmplitudes.equal_superposition(n)
-    return EnvironmentAmplitudes.from_up_weights(np.full(n, rule.up_weight))
-
-
 def sample_amplitudes(
     rule: AmplitudeRule, n: int, seed: int, *, stream: int = 1
 ) -> EnvironmentAmplitudes:
@@ -215,8 +213,10 @@ def sample_amplitudes(
     n, seed, stream = _checked_int(n, "n"), _checked_int(seed, "seed"), _checked_int(stream, "stream")
     if n < 1:
         raise ValidationError("need at least one amplitude pair")
-    if rule.kind != "random":
-        return _seedless_amplitudes(rule, n, str(rule))
+    if rule.kind == "equal":
+        return EnvironmentAmplitudes.equal_superposition(n)
+    if rule.kind == "fixed":
+        return EnvironmentAmplitudes.from_up_weights(np.full(n, rule.up_weight))
     gen = rekeyed_generator(seed, stream)
     z = standard_normal(gen, 4 * n)
     alpha = z[0::4] + 1j * z[1::4]
@@ -257,7 +257,9 @@ def realization_model(
     if not 0 <= index < spec.realizations:
         raise ValidationError(f"realization index {index} outside 0..{spec.realizations - 1}")
     couplings = sample_couplings(spec.distribution, spec.n, spec.seed, stream=2 * index)
-    amps = sample_amplitudes(spec.amplitudes, spec.n, spec.seed, stream=2 * index + 1)
+    amps = spec._shared_amplitudes
+    if amps is None:
+        amps = sample_amplitudes(spec.amplitudes, spec.n, spec.seed, stream=2 * index + 1)
     return couplings, amps
 
 

@@ -76,7 +76,8 @@ def summarize(couplings: CouplingSet, amps: EnvironmentAmplitudes) -> Statistics
     a = (up_w - down_w) * g
     # The product form keeps b_k^2 >= 0 exactly; g^2 - a^2 can round negative.
     w4 = 4.0 * up_w * down_w  # a zero weight adds 0.0, even where g^2 overflows
-    b2 = w4 * np.square(np.where(w4 > 0.0, g, 0.0))
+    with np.errstate(over="ignore"):  # an overflowing g^2 gives the documented +inf
+        b2 = w4 * np.square(np.where(w4 > 0.0, g, 0.0))
     return _adopt(StatisticsSummary, step_means=a, step_variances=b2)
 
 
@@ -150,23 +151,19 @@ def lindeberg_check(
     total = math.sqrt(summary.variance)
     if total == 0.0:
         raise DegenerateDistributionError("zero cumulative variance")
-    steps = np.sqrt(summary.step_variances)
-    ratio = float(steps.max() / total)
+    b2 = summary.step_variances
+    ratio = float(np.sqrt(b2).max() / total)
 
-    # Reconstruct the two-point outcome deviations from (a_k, b_k^2): outcomes
-    # +-|g_k| with up-weight (|g_k| + a_k) / (2 |g_k|).  A step with b_k^2 = 0
-    # is a point mass, which adds 0 to the tail even where a_k^2 overflows.
-    a = np.where(summary.step_variances > 0.0, summary.step_means, 0.0)
-    g_abs = np.sqrt(np.square(a) + summary.step_variances)
-    safe = np.where(g_abs > 0.0, g_abs, 1.0)
-    up_w = np.where(g_abs > 0.0, (g_abs + a) / (2.0 * safe), 0.5)
-    dev_up = g_abs - a
-    dev_down = -g_abs - a
+    # Step k is +|g_k| with probability p_k = (|g_k| + a_k) / (2 |g_k|), else
+    # -|g_k|, so its deviations |g_k| - a_k and |g_k| + a_k carry (1 - p_k) b_k^2
+    # and p_k b_k^2.  A step with b_k^2 = 0 is a point mass, which adds 0 to
+    # the tail even where a_k^2 overflows.
+    live = b2 > 0.0
+    a, b2 = summary.step_means[live], b2[live]
+    g_abs = np.sqrt(np.square(a) + b2)
+    p = (g_abs + a) / (2.0 * g_abs)
     cut = threshold * total
-    tail = np.sum(
-        up_w * np.square(dev_up) * (np.abs(dev_up) >= cut)
-        + (1.0 - up_w) * np.square(dev_down) * (np.abs(dev_down) >= cut)
-    )
+    tail = np.sum(b2 * ((1.0 - p) * (g_abs - a >= cut) + p * (g_abs + a >= cut)))
     verdict = SATISFIED if ratio <= threshold else VIOLATED
     return LindebergReport(
         max_step_ratio=ratio,

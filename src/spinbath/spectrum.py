@@ -180,9 +180,9 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     groups).  Merging is opt-in so the degenerate/non-degenerate
     structure of a spectrum stays observable by default.
 
-    When all weights are equal, as for equal amplitudes, only the
-    energies are sorted; otherwise an index sort carries the weights
-    along.  Both give the same bits.
+    When the weights are one broadcast value, as ``enumerate_walks``
+    gives equal amplitudes, only the energies are sorted; otherwise an
+    index sort carries the weights along.  Both give the same bits.
 
     It drops ``spectrum`` once its arrays are read, and the walk energies
     once sorted, before it gathers weights: Python 3.11+ moves arguments
@@ -193,12 +193,12 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     if epsilon < 0.0:
         raise ValidationError("merge epsilon must be nonnegative")
     e, w, n_spins = spectrum.energies, spectrum.weights, spectrum.n_spins
-    one_value = _held(w).min() == _held(w).max()
+    one_value = w.strides == (0,)
     del spectrum
     if one_value:
-        # Weights that sum to 1 and compare equal have equal bits, so any
-        # permutation of w is w.  Equal energies have equal bits too, save
-        # +-0.0, and the group sums below give +0.0 for either zero.
+        # A broadcast weight is one value, so any permutation of w is w.
+        # Equal energies have equal bits, save +-0.0, and the group sums
+        # below give +0.0 for either zero.
         w = w[:1].copy()
         e = np.sort(e)
     else:
@@ -268,11 +268,6 @@ def _compacted(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
         a[k : k + kept.size] = kept
         k += kept.size
     return a[:k].copy() if 2 * k < a.size else a[:k]
-
-
-def _held(w: np.ndarray) -> np.ndarray:
-    """The entries an array stores: one for a 0-stride (broadcast) view."""
-    return w[:1] if w.strides == (0,) else w
 
 
 def _capped_bins(bins: int) -> int:

@@ -63,11 +63,11 @@ class TestAmplitudeRule:
             ("random(1, 2)", "random amplitude rule takes no parameter"),
             ("bogus", "unknown amplitude rule 'bogus'"),
             ("bogus(1)", "unknown amplitude rule 'bogus'"),
+            ("bogus(1, 2)", "unknown amplitude rule 'bogus'"),
         ],
     )
     def test_parse_names_the_parameter_count(self, text, message):
-        # parse counts only what the constructor cannot see: more than one
-        # argument, or fixed with none.  The constructor checks the rest.
+        # An unknown kind is named before any count, as the constructor names it.
         with pytest.raises(sb.ValidationError) as info:
             sb.AmplitudeRule.parse(text)
         assert str(info.value) == message
@@ -114,8 +114,18 @@ class TestSampling:
         spec = sb.EnsembleSpec(sb.CouplingDistribution.fixed(1.0), rule, 5, 3, 7)
         first, *rest = [sb.realization_model(spec, i)[1] for i in range(3)]
         assert all(amps is first for amps in rest)
-        assert sb.sample_amplitudes(rule, 5, seed=99, stream=4) is first
+        assert first is spec._shared_amplitudes
+        fresh = sb.sample_amplitudes(rule, 5, seed=99, stream=4)
+        assert fresh.alpha.tobytes() == first.alpha.tobytes()
+        assert fresh.beta.tobytes() == first.beta.tobytes()
         assert sb.sample_amplitudes(rule, 6, seed=7).n == 6
+
+    def test_random_rule_shares_nothing(self):
+        rule = sb.AmplitudeRule.random()
+        spec = sb.EnsembleSpec(sb.CouplingDistribution.fixed(1.0), rule, 5, 2, 7)
+        assert spec._shared_amplitudes is None
+        first, second = [sb.realization_model(spec, i)[1] for i in range(2)]
+        assert first.alpha.tobytes() != second.alpha.tobytes()
 
     def test_seedless_rules_keep_the_sign_of_zero(self):
         # fixed(-0.0) == fixed(0.0), yet its alpha is -0.0, not 0.0.
@@ -123,6 +133,11 @@ class TestSampling:
         minus = sb.sample_amplitudes(sb.AmplitudeRule.fixed(-0.0), 2, seed=0)
         assert np.signbit(plus.alpha.real).tolist() == [False, False]
         assert np.signbit(minus.alpha.real).tolist() == [True, True]
+        # Through an ensemble too, though its spec equals fixed(0.0)'s.
+        spec = sb.EnsembleSpec(
+            sb.CouplingDistribution.fixed(1.0), sb.AmplitudeRule.fixed(-0.0), 2, 2, 0
+        )
+        assert np.signbit(sb.realization_model(spec, 1)[1].alpha.real).tolist() == [True, True]
 
     def test_random_amplitudes_normalized_and_deterministic(self):
         amps = sb.sample_amplitudes(sb.AmplitudeRule.random(), 256, seed=11, stream=9)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinbath as sb
@@ -55,6 +55,12 @@ class TestSummarize:
         assert (again.mean, again.variance) == (s.mean, s.variance)
         with pytest.raises(TypeError):
             sb.StatisticsSummary(s.step_means, s.step_variances, 0.0, 1.0)
+
+    def test_overflowing_square_gives_inf_without_a_warning(self):
+        # Warnings are errors in this suite, and no errstate is set here.
+        amps = sb.EnvironmentAmplitudes.equal_superposition(2)
+        s = sb.summarize(sb.CouplingSet([1e200, 1e200]), amps)
+        assert s.step_variances.tolist() == [math.inf, math.inf] and s.variance == math.inf
 
     def test_infinite_step_variance_accepted(self):
         # summarize gives +inf where g^2 overflows; the constructor agrees.
@@ -229,6 +235,21 @@ class TestLaplaceDeMoivre:
             sb.laplace_demoivre_weight(10, -1, 0.5)
 
 
+@st.composite
+def scaled_models(draw):
+    """Models whose step variances are well conditioned: |g_k| is 0 or in
+    [1e-3, 5], and |alpha_k|^2 is 0, 1 or in [0.01, 0.99].  Nearer a point
+    mass, the rounding of |alpha|^2 + |beta|^2 away from 1 moves the
+    two-point second moments off 4 |alpha|^2 |beta|^2 g^2 by more than
+    rounding."""
+    n = draw(st.integers(1, 40))
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+    g = [draw(st.sampled_from([-1.0, 1.0])) * draw(magnitude) for _ in range(n)]
+    weight = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
+    up = draw(st.lists(weight, min_size=n, max_size=n))
+    return sb.CouplingSet(g), make_amplitudes(up)
+
+
 class TestLindeberg:
     def test_equal_couplings_ratio(self):
         for n in (1, 4, 16, 64):
@@ -256,6 +277,30 @@ class TestLindeberg:
         s = sb.summarize(sb.CouplingSet([1.0] * 16), exact_half_amplitudes(16))
         assert sb.lindeberg_check(s, threshold=0.2).tail_mass == pytest.approx(1.0)
         assert sb.lindeberg_check(s, threshold=0.3).tail_mass == pytest.approx(0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=scaled_models(), threshold=st.floats(0.05, 1.0))
+    def test_tail_mass_matches_brute_force(self, model, threshold):
+        # Each spin is +g_k with weight |alpha_k|^2 or -g_k with weight
+        # |beta_k|^2; the tail sums the second moments of the outcomes that
+        # deviate from the spin's mean by at least threshold * B_N.
+        c, amps = model
+        g, up, down = c.couplings, amps.alpha_sq, amps.beta_sq
+        mean = up * g - down * g
+        outcomes = [(up, g - mean), (down, -g - mean)]
+        moments = [w * np.square(dev) for w, dev in outcomes]
+        step_var = moments[0] + moments[1]
+        total = float(step_var.sum())
+        assume(total > 0.0)
+        cut = threshold * math.sqrt(total)
+        ratio = math.sqrt(float(step_var.max()) / total)
+        # Rounding decides outcomes that sit on the cut, and steps at the threshold.
+        assume(abs(ratio - threshold) > 1e-9 * threshold)
+        assume(all(np.all(abs(np.abs(dev) - cut) > 1e-9 * cut) for _, dev in outcomes))
+        tail = sum(float(m[np.abs(dev) >= cut].sum()) for m, (_, dev) in zip(moments, outcomes))
+        report = sb.lindeberg_check(sb.summarize(c, amps), threshold)
+        assert report.tail_mass == pytest.approx(tail / total, rel=1e-12, abs=0.0)
+        assert report.verdict == ("satisfied" if ratio <= threshold else "violated")
 
     def test_zero_variance_rejected(self):
         s = sb.summarize(sb.CouplingSet([1.0, 1.0]), make_amplitudes([1.0, 1.0]))

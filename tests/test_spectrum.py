@@ -348,6 +348,28 @@ class TestMergeDegenerate:
         assert merged.energies.view(np.int64).tolist() == want_e.view(np.int64).tolist()
         assert merged.weights.view(np.int64).tolist() == want_w.view(np.int64).tolist()
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.3, 1.5])
+    @pytest.mark.parametrize("couplings", ["gaussian", "fixed", "integer"])
+    def test_dense_equal_weights_merge_as_their_broadcast_twin(self, couplings, epsilon):
+        # enumerate_walks gives equal amplitudes one broadcast weight, which
+        # takes the sort-only path; the same weights stored densely take the
+        # index sort, and must give the same bits.
+        rng = np.random.default_rng(17)
+        for n in range(1, 15):
+            g = {
+                "gaussian": rng.standard_normal(n),
+                "fixed": np.full(n, 0.7),
+                "integer": rng.integers(-3, 4, n).astype(float),
+            }[couplings]
+            amps = sb.EnvironmentAmplitudes.equal_superposition(n)
+            twin = sb.enumerate_walks(sb.CouplingSet(g), amps)
+            dense = sb.EnergySpectrum(twin.energies, twin.weights, n)
+            assert twin.weights.strides == (0,) and dense.weights.strides == (8,)
+            want = sb.merge_degenerate(twin, epsilon)
+            got = sb.merge_degenerate(dense, epsilon)
+            assert got.energies.tobytes() == want.energies.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+
     @pytest.mark.parametrize("uniform", [True, False], ids=["equal-weights", "unequal-weights"])
     def test_gaps_across_chunk_boundaries(self, uniform):
         # Gaps of 0.25 merge at epsilon 0.5, the one at index

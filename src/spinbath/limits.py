@@ -76,8 +76,12 @@ def summarize(couplings: CouplingSet, amps: EnvironmentAmplitudes) -> Statistics
     a = (up_w - down_w) * g
     # The product form keeps b_k^2 >= 0 exactly; g^2 - a^2 can round negative.
     w4 = 4.0 * up_w * down_w  # a zero weight adds 0.0, even where g^2 overflows
-    with np.errstate(over="ignore"):  # an overflowing g^2 gives the documented +inf
-        b2 = w4 * np.square(np.where(w4 > 0.0, g, 0.0))
+    g = np.where(w4 > 0.0, g, 0.0)
+    with np.errstate(over="ignore"):  # an overflowing (w4 g) g gives the documented +inf
+        b2 = w4 * np.square(g)
+        # Where g^2 overflows, (w4 g) g may not; elsewhere w4 g^2 keeps its bits.
+        wide = np.isinf(b2)
+        b2[wide] = w4[wide] * g[wide] * g[wide]
     return _adopt(StatisticsSummary, step_means=a, step_variances=b2)
 
 
@@ -160,7 +164,11 @@ def lindeberg_check(
     # the tail even where a_k^2 overflows.
     live = b2 > 0.0
     a, b2 = summary.step_means[live], b2[live]
-    g_abs = np.sqrt(np.square(a) + b2)
+    with np.errstate(over="ignore"):
+        g_abs = np.sqrt(np.square(a) + b2)
+    # Where a_k^2 overflows, hypot still gives |g_k|; elsewhere the bits stay.
+    wide = np.isinf(g_abs)
+    g_abs[wide] = np.hypot(a[wide], np.sqrt(b2[wide]))
     p = (g_abs + a) / (2.0 * g_abs)
     cut = threshold * total
     tail = np.sum(b2 * ((1.0 - p) * (g_abs - a >= cut) + p * (g_abs + a >= cut)))

@@ -6,14 +6,13 @@ details; it opens no file.  ``run`` alone writes: once every output is
 computed, it writes each one, then a ``manifest.json`` recording the
 fully resolved configuration, the seed/stream layout, the library
 version, and one checksummed entry per output file.  Numeric cells are
-written with shortest round-trip formatting, so identical configs
-reproduce byte-identical files.
+written with shortest round-trip formatting, the text of ``repr``, so
+identical configs reproduce byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -23,6 +22,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
+from ._spell import spell
 from .config import RunConfig
 from .echo import DiagonalBranchHamiltonian, echo_amplitude, survival_probability
 from .ensembles import (
@@ -36,7 +36,6 @@ from .errors import ValidationError
 from .limits import TimeAverageCheck, check_time_average, gaussian_validity_window, summarize
 from .model import decoherence_trace
 from .spectrum import (
-    _CHUNK_ROWS,
     EnergySpectrum,
     _capped_bins,
     _uniform_edges,
@@ -52,13 +51,17 @@ _HIST_STREAM = 1 << 62
 
 _HIST_DRAWS = 10_000
 
+#: Rows per written block of a table.  It bounds the speller's
+#: temporaries and the block's text to about a MiB; with 16,384 rows,
+#: repeated in-process fig3 runs left the brk heap 1.7 MiB larger.
+_CHUNK_ROWS = 1 << 13
 
-def _write_hashed(path: Path, blocks: Iterable[str]) -> str:
-    """Write text blocks to path as UTF-8; return the sha256 of the bytes written."""
+
+def _write_hashed(path: Path, blocks: Iterable[bytes | np.ndarray]) -> str:
+    """Write blocks of bytes (or uint8 arrays) to path; return the sha256 of the bytes written."""
     digest = hashlib.sha256()
     with path.open("wb") as fh:
-        for text in blocks:
-            data = text.encode("utf-8")
+        for data in blocks:
             digest.update(data)
             fh.write(data)
     return digest.hexdigest()
@@ -67,7 +70,7 @@ def _write_hashed(path: Path, blocks: Iterable[str]) -> str:
 def _write_json(path: Path, payload: dict[str, Any]) -> str:
     # Strict JSON: a NaN or infinity raises ValueError before path is opened.
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    return _write_hashed(path, [text, "\n"])
+    return _write_hashed(path, [text.encode("utf-8"), b"\n"])
 
 
 @dataclass(frozen=True)
@@ -84,49 +87,51 @@ class _Tiled:
 _Column = np.ndarray | _Tiled
 
 
-def _pieces(col: _Column, rows: int) -> Iterator[np.ndarray | Iterable[str]]:
-    """A column one chunk of rows at a time: an array chunk, or the text
-    of a ``_Tiled`` chunk, whose tile is spelt once per table."""
+def _pieces(col: _Column, rows: int) -> Iterator[np.ndarray]:
+    """A column one chunk of rows at a time: a 1-d array chunk, or the
+    text matrix of a ``_Tiled`` chunk, whose tile is spelt once per table."""
     if isinstance(col, _Tiled):
-        text = [repr(value) for value in col.tile.tolist()]
+        text = spell(col.tile)
         for start in range(0, rows, _CHUNK_ROWS):
-            offset = start % len(text)
-            size = min(_CHUNK_ROWS, rows - start)
-            yield itertools.islice(itertools.cycle(text), offset, offset + size)
+            index = np.arange(start, min(start + _CHUNK_ROWS, rows)) % len(text)
+            yield text.take(index, axis=0)
         return
     for start in range(0, rows, _CHUNK_ROWS):
         yield col[start : start + _CHUNK_ROWS]
 
 
 #: The text of +0.0 and -0.0, indexed by the sign bit.
-_ZEROS = ("0.0", "-0.0")
+_ZEROS = np.frombuffer(b"\x000.0-0.0", np.uint8).reshape(2, 4)
 
 
-def _spelt(chunk: np.ndarray) -> Iterable[str]:
-    """The text of each value of an array chunk of ``_pieces``.
+def _spelt(piece: np.ndarray, held: dict[int, np.ndarray]) -> np.ndarray:
+    """The text matrix of a piece of ``_pieces``, as ``spell`` gives it.
 
-    ``tolist`` yields Python ints and floats, whose ``repr`` is the
-    shortest round-trip form, in CSV cells and JSON numbers alike, since
-    every value is finite (``_write_table`` checks).  Columns are float64
-    or int64, whose bits view as int64.  Two kinds of chunk skip ``repr``
-    per row, with the same text (``_pieces`` spells a ``_Tiled`` column's
-    tile once per table):
+    Columns are float64 or int64, whose bits view as int64.  Two kinds of
+    array chunk are not handed to ``spell`` whole, with the same text
+    (``_pieces`` spells a ``_Tiled`` column's tile once per table):
 
     - every row has the same bits, such as a repeated walk weight: the
-      value is formatted once.  Comparing bits, not values, keeps -0.0
-      and 0.0 apart;
+      value is spelt once per column, and ``held`` keeps its text by
+      bits for the column's later chunks.  Comparing bits, not values,
+      keeps -0.0 and 0.0 apart;
     - a float64 chunk of zeros only (``not chunk.any()``), such as the
       imaginary part of a real r(t): ``repr`` of a zero is ``0.0`` or
       ``-0.0``, so its sign bit picks the text.
 
     ``_csv_blocks`` adds one rule across columns.
     """
-    bits = chunk.view(np.int64)
+    if piece.ndim == 2:
+        return piece
+    bits = piece.view(np.int64)
     if (bits == bits[0]).all():
-        return itertools.repeat(repr(chunk[0].item()), chunk.size)
-    if chunk.dtype == np.float64 and chunk[0] == 0.0 and not chunk.any():
-        return map(_ZEROS.__getitem__, np.signbit(chunk).tolist())
-    return map(repr, chunk.tolist())
+        key = int(bits[0])
+        if key not in held:
+            held[key] = spell(piece[:1])
+        return np.broadcast_to(held[key], (piece.size, held[key].shape[1]))
+    if piece.dtype == np.float64 and piece[0] == 0.0 and not piece.any():
+        return _ZEROS.take(np.signbit(piece).view(np.uint8), axis=0)
+    return spell(piece)
 
 
 def _is_abs(chunk: np.ndarray, source: np.ndarray) -> bool:
@@ -138,53 +143,66 @@ def _is_abs(chunk: np.ndarray, source: np.ndarray) -> bool:
     )
 
 
-def _csv_blocks(columns: dict[str, _Column], rows: int) -> Iterator[str]:
+def _joined(parts: list[np.ndarray]) -> bytes | np.ndarray:
+    """The bytes of text matrices laid side by side, read row by row,
+    without their NUL bytes.  Broadcast rows are joined once."""
+    if all(part.strides[0] == 0 for part in parts):
+        row = np.concatenate([part[:1] for part in parts], axis=1)
+        return row[row != 0].tobytes() * len(parts[0])
+    text = np.concatenate(parts, axis=1)
+    return text[text != 0]
+
+
+def _separator(char: str, rows: int) -> np.ndarray:
+    return np.broadcast_to(np.frombuffer(char.encode("ascii"), np.uint8), (rows, len(char)))
+
+
+def _csv_blocks(columns: dict[str, _Column], rows: int) -> Iterator[bytes | np.ndarray]:
     """The CSV lines of the columns, one chunk of rows per block.
 
     Cells are spelt as by ``_spelt``, with one more rule: a float64
     chunk with the bits of ``np.abs`` of an earlier float64 column's
     chunk, such as ``abs_r`` beside the ``re_r`` of a real r(t), takes
-    that column's cells with any leading ``-`` dropped.  This is exact:
-    for finite x, the only kind a table holds, ``repr(abs(x))`` is
-    ``repr(x)`` without its sign, and -0.0 gives 0.0.  Only the earlier
-    chunk's text is held as a list, and only while its chunk is written.
-    JSON writes column after column, so sharing text there would hold a
-    whole column; it spells such a column itself.
+    that column's text without its sign column.  This is exact: for
+    finite x, the only kind a table holds, ``repr(abs(x))`` is
+    ``repr(x)`` without its sign, and -0.0 gives 0.0.  JSON writes
+    column after column, so sharing text there would hold a whole
+    column; it spells such a column itself.
     """
-    yield ",".join(columns) + "\n"
+    yield (",".join(columns) + "\n").encode("utf-8")
+    held: list[dict[int, np.ndarray]] = [{} for _ in columns]
     for pieces in zip(*(_pieces(col, rows) for col in columns.values())):
-        cells: list[Iterable[str]] = []
+        size = len(pieces[0])
+        texts: list[np.ndarray] = []
         sources: list[int] = []  # indices of float64 chunks
-        for piece in pieces:
-            if not isinstance(piece, np.ndarray):
-                cells.append(piece)
-                continue
+        for piece, column_held in zip(pieces, held):
             i = next((i for i in sources if _is_abs(piece, pieces[i])), None)
             if i is None:
-                text = _spelt(piece)
                 if piece.dtype == np.float64:
-                    sources.append(len(cells))
+                    sources.append(len(texts))
+                texts.append(_spelt(piece, column_held))
             else:
-                cells[i] = list(cells[i])
-                text = map(str.removeprefix, cells[i], itertools.repeat("-"))
-            cells.append(text)
-        yield "\n".join(map(",".join, zip(*cells)))
-        yield "\n"
+                texts.append(texts[i][:, 1:])
+        comma = _separator(",", size)
+        parts = [part for text in texts for part in (text, comma)]
+        parts[-1] = _separator("\n", size)
+        yield _joined(parts)
 
 
-def _json_blocks(columns: dict[str, _Column], rows: int) -> Iterator[str]:
+def _json_blocks(columns: dict[str, _Column], rows: int) -> Iterator[bytes | np.ndarray]:
     """The bytes of ``json.dump({header: col.tolist()}, indent=2)`` plus a newline."""
     opening = "{"
     for header, col in columns.items():
-        yield f"{opening}\n  {json.dumps(header)}: ["
+        yield f"{opening}\n  {json.dumps(header)}: [".encode("utf-8")
         opening = ","
-        separator = "\n    "
+        first = 1  # the first cell follows the bracket without a comma
+        held: dict[int, np.ndarray] = {}
         for piece in _pieces(col, rows):
-            yield separator
-            yield ",\n    ".join(_spelt(piece) if isinstance(piece, np.ndarray) else piece)
-            separator = ",\n    "
-        yield "\n  ]" if rows else "]"
-    yield "\n}\n"
+            text = _spelt(piece, held)
+            yield _joined([_separator(",\n    ", len(text)), text])[first:]
+            first = 0
+        yield b"\n  ]" if rows else b"]"
+    yield b"\n}\n"
 
 
 def _write_table(path: Path, columns: dict[str, _Column]) -> tuple[int, str]:

@@ -69,20 +69,36 @@ class TestSummarize:
 
     def test_step_variances_keep_the_product_bits(self):
         # Spins with nonzero weights on both branches keep 4 up down g^2
-        # bit for bit, overflowing to inf or not; zero-weight spins add +0.0.
+        # bit for bit where g^2 is finite, and take (4 up down g) g where
+        # it overflows, finite or not; zero-weight spins add +0.0.
         rng = np.random.default_rng(21)
         w = rng.random(64)
         w[::7] = 1.0
         w[3::7] = 0.0
         g = rng.standard_normal(64) * 10.0 ** rng.uniform(-200, 200, 64)
+        w[[1, 2]] = 0.9
+        g[[1, 2]] = [1.5e154, -2e154]  # g^2 overflows, 0.36 g^2 does not
         a = sb.EnvironmentAmplitudes.from_up_weights(w)
         zero = a.alpha_sq * a.beta_sq == 0.0
+        w4 = 4.0 * a.alpha_sq * a.beta_sq
         with np.errstate(over="ignore", invalid="ignore"):
-            want = 4.0 * a.alpha_sq * a.beta_sq * np.square(g)
+            plain = w4 * np.square(g)
+            wide = np.isinf(np.square(g))
+            want = plain.copy()
+            want[wide] = w4[wide] * g[wide] * g[wide]
             got = sb.summarize(sb.CouplingSet(g), a).step_variances
-        assert zero.sum() == 19 and np.isnan(want[zero]).any() and np.isinf(want[~zero]).any()
+        assert zero.sum() == 19 and np.isnan(plain[zero]).any() and np.isinf(want[~zero]).any()
+        assert np.isinf(plain[[1, 2]]).all() and np.isfinite(want[[1, 2]]).all()
         want[zero] = 0.0
         assert got.tobytes() == want.tobytes()
+
+    def test_variance_is_finite_where_only_g_squared_overflows(self):
+        # 4 * 0.99 * 0.01 * (2e154)^2 = 1.584e307 is finite though (2e154)^2 is not.
+        s = sb.summarize(sb.CouplingSet([2e154]), sb.EnvironmentAmplitudes.from_up_weights([0.99]))
+        assert s.variance == pytest.approx(1.584e307, rel=1e-12)
+        report = sb.lindeberg_check(s)
+        assert math.isfinite(report.max_step_ratio) and math.isfinite(report.tail_mass)
+        assert math.isfinite(sb.gaussian_validity_window(s)) and sb.gaussian_validity_window(s) > 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(model=models())

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import spinbath as sb
 from spinbath.config import RunConfig
 from spinbath import runner
+from spinbath._spell import spell
 from spinbath.runner import run
 from helpers import every_spectrum_rebuilt, random_model  # the fixture is used through pytestmark
 
@@ -186,15 +187,21 @@ def test_shared_abs_text_memory_is_bounded_by_chunks(tmp_path, fmt, monkeypatch)
     assert peak < 1.5 * 2**20
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_one_value_chunks_are_formatted_once(tmp_path, fmt, monkeypatch):
+def _spelt_values(monkeypatch):
+    """The list of every value the writer hands its speller, from now on."""
     calls = []
 
-    def counting_repr(value):
-        calls.append(value)
-        return repr(value)
+    def counting_spell(values):
+        calls.extend(values.tolist())
+        return spell(values)
 
-    monkeypatch.setattr(runner, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(runner, "spell", counting_spell)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_value_chunks_are_formatted_once(tmp_path, fmt, monkeypatch):
+    calls = _spelt_values(monkeypatch)
     monkeypatch.setattr(runner, "_CHUNK_ROWS", 1 << 10)
     column = np.broadcast_to(np.array([0.25]), (3 << 10,))
     runner._write_table(tmp_path / f"table.{fmt}", {"weight": column})
@@ -251,13 +258,7 @@ def test_r_columns_match_whole_list_writers(tmp_path, fmt, monkeypatch):
 
 
 def test_real_trace_spells_only_t_and_re_r(tmp_path, monkeypatch):
-    calls = []
-
-    def counting_repr(value):
-        calls.append(value)
-        return repr(value)
-
-    monkeypatch.setattr(runner, "repr", counting_repr, raising=False)
+    calls = _spelt_values(monkeypatch)
     monkeypatch.setattr(runner, "_CHUNK_ROWS", 1 << 10)
     dist = sb.CouplingDistribution.lorentzian(0.0, 0.25)
     spec = sb.EnsembleSpec(dist, sb.AmplitudeRule.equal(), n=40, realizations=1, seed=7)
@@ -322,13 +323,7 @@ def test_ensemble_table_matches_flat_time_column(tmp_path, case, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_tiled_time_column_is_formatted_once(tmp_path, fmt, monkeypatch):
-    calls = []
-
-    def counting_repr(value):
-        calls.append(value)
-        return repr(value)
-
-    monkeypatch.setattr(runner, "repr", counting_repr, raising=False)
+    calls = _spelt_values(monkeypatch)
     tile = np.linspace(0.0, 3.0, 7)
     runner._write_table(tmp_path / f"table.{fmt}", {"t": runner._Tiled(tile, 3 * runner._CHUNK_ROWS)})
     assert calls == tile.tolist()

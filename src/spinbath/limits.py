@@ -164,11 +164,7 @@ def lindeberg_check(
     # the tail even where a_k^2 overflows.
     live = b2 > 0.0
     a, b2 = summary.step_means[live], b2[live]
-    with np.errstate(over="ignore"):
-        g_abs = np.sqrt(np.square(a) + b2)
-    # Where a_k^2 overflows, hypot still gives |g_k|; elsewhere the bits stay.
-    wide = np.isinf(g_abs)
-    g_abs[wide] = np.hypot(a[wide], np.sqrt(b2[wide]))
+    g_abs = np.hypot(a, np.sqrt(b2))
     p = (g_abs + a) / (2.0 * g_abs)
     cut = threshold * total
     tail = np.sum(b2 * ((1.0 - p) * (g_abs - a >= cut) + p * (g_abs + a >= cut)))

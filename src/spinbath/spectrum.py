@@ -32,9 +32,8 @@ from .model import (
 #: Ceiling on enumerable environment sizes (2^24 = 16.7M walks).
 ENUMERATION_CAP = 24
 
-#: Entries per chunk of a pass over a whole walk array or table: the gap
-#: scans here and the runner's table writes.  Only one chunk's
-#: temporaries exist at a time.
+#: Entries per chunk of a pass over a whole walk array: the gap scans and
+#: ``_compacted``.  Only one chunk's temporaries exist at a time.
 _CHUNK_ROWS = 1 << 16
 
 _WEIGHT_TOL = 1e-10

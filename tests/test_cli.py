@@ -346,6 +346,10 @@ def test_echo_columns_are_the_trace(tmp_path, dist, rule):
     echo = (tmp_path / "echo" / "echo.csv").read_text(encoding="utf-8").splitlines()
     trace = (tmp_path / "trace" / "trace.csv").read_text(encoding="utf-8").splitlines()
     assert [row.rpartition(",")[0] for row in echo] == trace
+    # survival_p is |r|^2 under branch 1, whose |r| is the trace's: libm's pow.
+    assert echo[0].endswith(",abs_r,survival_p")
+    cells = [row.split(",")[-2:] for row in echo[1:]]
+    assert all(float(p).hex() == (float(a) ** 2).hex() for a, p in cells)
 
 
 def test_failing_figure_writes_no_file(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 import spinbath as sb
-from spinbath import echo
 from spinbath.model import _branch_product
 from helpers import EDGE_TIMES, edge_couplings, exact_half_amplitudes, models, random_model, times
 
@@ -150,7 +149,7 @@ class TestMirroredPairs:
             g[rng.random(n) < 0.1] = rng.choice([1e308, -1e308, 3e307])
             h0 = sb.DiagonalBranchHamiltonian.from_couplings(sb.CouplingSet(g))
             h1 = -h0
-            assert echo._pair_rates(h0, h1)[1] is None and h1._rates[1] is None
+            assert h0._mirrored and h1._mirrored
             for amps in edge_weight_sets(rng, n):
                 # Huge couplings overflow g t to inf at late times, where
                 # both values are NaN; the sign of a NaN carries nothing.
@@ -166,12 +165,28 @@ class TestMirroredPairs:
         n = 9
         still = sb.DiagonalBranchHamiltonian(np.zeros(n), np.zeros(n))
         h = random_branch(rng, n)
-        assert echo._pair_rates(still, h)[1] is not None and h._rates[1] is not None
+        assert still._mirrored and not h._mirrored
         for amps in edge_weight_sets(rng, n):
             for t in EDGE_TIMES:
                 got = np.complex128(sb.echo_amplitude(still, h, amps, t))
                 assert got.tobytes() == two_exponential_echo(still, h, amps, t).tobytes()
                 assert sb.survival_probability(h, amps, t) == two_exponential_survival(h, amps, t)
+
+    def test_pair_mirrored_only_by_value_keeps_the_bits_of_one_exponential(self):
+        # Members (g, c - g) and (-g, c + g) are not mirrored, but with small
+        # dyadic energies their halved differences are exactly g and -g.
+        rng = np.random.default_rng(13)
+        n = 8
+        g = rng.choice([-1.0, 1.0], n) * rng.integers(1, 64, n) * 0.125
+        c = rng.integers(1, 64, n).astype(float)
+        h0, h1 = sb.DiagonalBranchHamiltonian(g, c - g), sb.DiagonalBranchHamiltonian(-g, c + g)
+        assert not h0._mirrored and not h1._mirrored
+        mirrored = sb.DiagonalBranchHamiltonian.from_couplings(sb.CouplingSet(g))
+        for amps in edge_weight_sets(rng, n):
+            for t in EDGE_TIMES:
+                got = np.complex128(sb.echo_amplitude(h0, h1, amps, t))
+                want = np.complex128(sb.echo_amplitude(mirrored, -mirrored, amps, t))
+                assert got.tobytes() == want.tobytes()
 
     def test_alternating_pairs_each_get_their_own_rates(self):
         rng = np.random.default_rng(12)
@@ -184,7 +199,7 @@ class TestMirroredPairs:
                 got = np.complex128(sb.echo_amplitude(h0, h, amps, t))
                 assert got.tobytes() == two_exponential_echo(h0, h, amps, t).tobytes()
                 assert sb.survival_probability(h, amps, t) == two_exponential_survival(h, amps, t)
-        # An equal pair held in new objects is a new key, with the same value.
+        # An equal pair held in new objects gives the same value.
         twin = sb.DiagonalBranchHamiltonian(h1.up, h1.down)
         assert sb.echo_amplitude(h0, twin, amps, 0.3) == sb.echo_amplitude(h0, h1, amps, 0.3)
 

@@ -117,6 +117,26 @@ class TestEnumerateWalks:
         with pytest.raises(sb.CapacityError, match="2\\^25"):
             sb.branch_spectrum(h, a)
 
+    @pytest.mark.parametrize("rule", ["equal", "random"])
+    @pytest.mark.parametrize(
+        "up, down", [([1e308, 1.0], [-1e308, -1.0]), ([1e308, 1.0], [1e308, -1.0])]
+    )
+    def test_branch_spectrum_near_the_float_limit(self, up, down, rule):
+        # Half-splittings and the shift come from halved energies, so no
+        # up - down or up + down overflows where the spectrum does not.
+        ensemble = sb.EnsembleSpec(
+            sb.CouplingDistribution.fixed(1.0), sb.AmplitudeRule.parse(rule), 2, 1, 7
+        )
+        _, a = sb.realization_model(ensemble, 0)
+        got = sb.branch_spectrum(sb.DiagonalBranchHamiltonian(up, down), a)
+        # Walk m takes down_k where bit k of m is set, as enumerate_walks does.
+        choices = [
+            [(down[k], a.beta_sq[k]) if m >> k & 1 else (up[k], a.alpha_sq[k]) for k in range(2)]
+            for m in range(4)
+        ]
+        assert got.energies.tolist() == [sum(e for e, _ in walk) for walk in choices]
+        assert got.weights.tolist() == [math.prod(float(w) for _, w in walk) for walk in choices]
+
     def test_weights_sum_to_one(self):
         c, a = random_model(np.random.default_rng(3), 12)
         spec = sb.enumerate_walks(c, a)

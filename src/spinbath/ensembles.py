@@ -202,7 +202,7 @@ def sample_couplings(
     else:
         center, gamma = dist.params
         values = cauchy(gen, n, center, gamma)
-    return CouplingSet(values)
+    return _adopt(CouplingSet, couplings=values)  # every branch allocates values afresh
 
 
 def sample_amplitudes(

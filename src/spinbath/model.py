@@ -14,8 +14,9 @@ at |alpha_k|^2 = 1/2.  Couplings are angular frequencies with hbar = 1.
 
 All types are immutable value objects and all operations are pure
 functions, so everything here is safe to share between concurrent
-callers.  A public constructor copies its array arguments, through
-``_intake`` where they must be non-empty, 1-d and finite; a producer
+callers.  A public constructor copies its array arguments, and
+``_frozen_finite_1d`` checks those that must be non-empty, 1-d and
+finite, through ``_intake`` or the type's ``_freeze()``; a producer
 hands over the arrays it has just allocated through ``_adopt``, which
 copies nothing.  Either way the type's ``_freeze()`` checks its
 invariants and marks its arrays read-only, so every array the library
@@ -52,10 +53,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _intake(value, dtype, what: str) -> np.ndarray:
     """A read-only copy of a non-empty, 1-d, finite array; ``what`` names it in errors."""
-    a = np.array(value, dtype=dtype)
+    return _frozen_finite_1d(np.array(value, dtype=dtype), what)
+
+
+def _frozen_finite_1d(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` itself, read-only, once it is checked non-empty, 1-d and finite."""
     if a.ndim != 1 or a.size < 1:
         raise ValidationError(f"{what} must form a non-empty 1-d sequence")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{what} must be finite")
     return _readonly(a)
 
@@ -87,7 +92,11 @@ class CouplingSet:
     couplings: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "couplings", _intake(self.couplings, np.float64, "couplings"))
+        object.__setattr__(self, "couplings", np.array(self.couplings, dtype=np.float64))
+        self._freeze()
+
+    def _freeze(self) -> None:
+        _frozen_finite_1d(self.couplings, "couplings")
 
     @property
     def n(self) -> int:
@@ -188,10 +197,10 @@ class DecoherenceTrace:
             raise ValidationError("trace times and values must be matching 1-d arrays")
         mags = np.abs(values)
         # Written so that a NaN fails: r(t) is finite wherever g_k t is.
-        if not np.all(mags <= 1.0 + NORM_TOL):
+        if not (mags <= 1.0 + NORM_TOL).all():
             raise ValidationError(f"|r| must not exceed 1, got {float(mags.max())!r}")
         at_zero = values[times == 0.0]
-        if at_zero.size and not np.all(at_zero == 1.0 + 0.0j):
+        if at_zero.size and not (at_zero == 1.0 + 0.0j).all():
             raise ValidationError("r(0) must equal 1 exactly")
         object.__setattr__(self, "n_spins", n_spins)
         _readonly(times)
@@ -305,10 +314,9 @@ def decoherence_trace(
     g = couplings.couplings
     times = samples[:, np.newaxis]
     block = max(1, _BLOCK_BYTES // (16 * couplings.n))
-    values = np.concatenate(
-        [
-            _branch_product(amps.alpha_sq, amps.beta_sq, g, None, times[i : i + block])
-            for i in range(0, times.shape[0], block)
-        ]
-    )
+    blocks = [
+        _branch_product(amps.alpha_sq, amps.beta_sq, g, None, times[i : i + block])
+        for i in range(0, times.shape[0], block)
+    ]
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return _adopt(DecoherenceTrace, times=samples, values=values, n_spins=couplings.n)

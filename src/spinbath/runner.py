@@ -57,8 +57,8 @@ _HIST_DRAWS = 10_000
 _CHUNK_ROWS = 1 << 13
 
 
-def _write_hashed(path: Path, blocks: Iterable[bytes | np.ndarray]) -> str:
-    """Write blocks of bytes (or uint8 arrays) to path; return the sha256 of the bytes written."""
+def _write_hashed(path: Path, blocks: Iterable[bytes]) -> str:
+    """Write blocks of bytes to path; return the sha256 of the bytes written."""
     digest = hashlib.sha256()
     with path.open("wb") as fh:
         for data in blocks:
@@ -143,21 +143,20 @@ def _is_abs(chunk: np.ndarray, source: np.ndarray) -> bool:
     )
 
 
-def _joined(parts: list[np.ndarray]) -> bytes | np.ndarray:
+def _joined(parts: list[np.ndarray]) -> bytes:
     """The bytes of text matrices laid side by side, read row by row,
     without their NUL bytes.  Broadcast rows are joined once."""
     if all(part.strides[0] == 0 for part in parts):
         row = np.concatenate([part[:1] for part in parts], axis=1)
-        return row[row != 0].tobytes() * len(parts[0])
-    text = np.concatenate(parts, axis=1)
-    return text[text != 0]
+        return row.tobytes().translate(None, b"\0") * len(parts[0])
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
 def _separator(char: str, rows: int) -> np.ndarray:
     return np.broadcast_to(np.frombuffer(char.encode("ascii"), np.uint8), (rows, len(char)))
 
 
-def _csv_blocks(columns: dict[str, _Column], rows: int) -> Iterator[bytes | np.ndarray]:
+def _csv_blocks(columns: dict[str, _Column], rows: int) -> Iterator[bytes]:
     """The CSV lines of the columns, one chunk of rows per block.
 
     Cells are spelt as by ``_spelt``, with one more rule: a float64
@@ -189,7 +188,7 @@ def _csv_blocks(columns: dict[str, _Column], rows: int) -> Iterator[bytes | np.n
         yield _joined(parts)
 
 
-def _json_blocks(columns: dict[str, _Column], rows: int) -> Iterator[bytes | np.ndarray]:
+def _json_blocks(columns: dict[str, _Column], rows: int) -> Iterator[bytes]:
     """The bytes of ``json.dump({header: col.tolist()}, indent=2)`` plus a newline."""
     opening = "{"
     for header, col in columns.items():

@@ -139,6 +139,21 @@ class TestSampling:
         )
         assert np.signbit(sb.realization_model(spec, 1)[1].alpha.real).tolist() == [True, True]
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            sb.CouplingDistribution.lorentzian(0.0, 1e308),
+            sb.CouplingDistribution.gaussian(0.0, 1e308),
+            sb.CouplingDistribution.uniform(-1e308, 1e308),
+        ],
+        ids=str,
+    )
+    def test_overflowing_draws_are_rejected(self, dist):
+        # Sampled couplings are adopted uncopied; the finite check must stay.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(sb.ValidationError, match="couplings must be finite"):
+                sb.sample_couplings(dist, 64, 3)
+
     def test_random_amplitudes_normalized_and_deterministic(self):
         amps = sb.sample_amplitudes(sb.AmplitudeRule.random(), 256, seed=11, stream=9)
         norms = np.abs(amps.alpha) ** 2 + np.abs(amps.beta) ** 2

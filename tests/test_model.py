@@ -215,11 +215,15 @@ class TestTrace:
 
     def test_bitwise_identical_to_pointwise(self):
         rng = np.random.default_rng(8)
-        # The second case spans several blocks of times.  Its short time
-        # range keeps |r| above the underflow to 0.0, which would compare
-        # equal whatever the kernel did.
+        # The N = 10,000 case spans several blocks of times, and the
+        # N = 4096 cases exactly one block and one more step.  Their short
+        # time ranges keep |r| above the underflow to 0.0, which would
+        # compare equal whatever the kernel did.
         assert 16 * 10_000 * 101 > 3 * _BLOCK_BYTES
-        for n, start, stop, steps in ((6, -2.0, 3.0, 41), (10_000, -0.15, 0.2, 101)):
+        block = _BLOCK_BYTES // (16 * 4096)
+        cases = ((6, -2.0, 3.0, 41), (10_000, -0.15, 0.2, 101))
+        cases += ((4096, -0.2, 0.25, block), (4096, -0.2, 0.25, block + 1))
+        for n, start, stop, steps in cases:
             c, a = random_model(rng, n)
             grid = sb.TimeGrid(start, stop, steps)
             trace = sb.decoherence_trace(c, a, grid)

@@ -6,6 +6,7 @@ nothing.  Every array a library function returns is read-only.
 """
 
 from dataclasses import is_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,7 +134,18 @@ def _ensemble_average():
     return sb.ensemble_average_trace(spec, sb.TimeGrid(0.0, 2.0, 9))
 
 
+def _realization_model():
+    # A namespace, not the returned tuple: stored_arrays reads vars().
+    spec = sb.EnsembleSpec(
+        sb.CouplingDistribution.lorentzian(0.0, 1.0), sb.AmplitudeRule.equal(), 5, 3, 7
+    )
+    couplings, amplitudes = sb.realization_model(spec, 1)
+    return SimpleNamespace(couplings=couplings, amplitudes=amplitudes)
+
+
 PRODUCERS = {
+    "sample_couplings": lambda: sb.sample_couplings(sb.CouplingDistribution.uniform(0.5, 2.0), 4, 7),
+    "realization_model": _realization_model,
     "decoherence_trace": lambda: sb.decoherence_trace(*_model(), np.array([0.0, 0.5, 1.0])),
     "enumerate_walks": lambda: sb.enumerate_walks(*_model()),
     "merge_degenerate": lambda: sb.merge_degenerate(sb.enumerate_walks(*_model()), 0.1),

@@ -22,15 +22,15 @@ from .model import (
     _adopt,
     _branch_product,
     _checked_float,
-    _intake,
-    _readonly,
+    _finite_1d,
     _require_matching_sizes,
+    _Value,
 )
 from .spectrum import EnergySpectrum, enumerate_walks
 
 
 @dataclass(frozen=True, eq=False)
-class DiagonalBranchHamiltonian:
+class DiagonalBranchHamiltonian(_Value):
     """Per-spin diagonal energies (up_k, down_k) of one branch.
 
     Any two energies combine as their halves, formed once, so no sum or
@@ -41,13 +41,14 @@ class DiagonalBranchHamiltonian:
     _half_up: np.ndarray = field(init=False, repr=False)
     _half_down: np.ndarray = field(init=False, repr=False)
     _mirrored: bool = field(init=False, repr=False)
+    _ARRAYS = {"up": np.float64, "down": np.float64}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "up", _intake(self.up, np.float64, "branch energies"))
-        object.__setattr__(self, "down", _intake(self.down, np.float64, "branch energies"))
+    def _freeze(self) -> None:
+        _finite_1d(self.up, "branch energies")
+        _finite_1d(self.down, "branch energies")
         _require_matching_sizes(self.up.size, self.down.size, "up vs down branch energies")
-        object.__setattr__(self, "_half_up", _readonly(0.5 * self.up))
-        object.__setattr__(self, "_half_down", _readonly(0.5 * self.down))
+        object.__setattr__(self, "_half_up", 0.5 * self.up)
+        object.__setattr__(self, "_half_down", 0.5 * self.down)
         object.__setattr__(self, "_mirrored", np.array_equal(self.down, -self.up))
 
     @property
@@ -61,7 +62,7 @@ class DiagonalBranchHamiltonian:
         return cls(up=g, down=-g)
 
     def __neg__(self) -> "DiagonalBranchHamiltonian":
-        return DiagonalBranchHamiltonian(up=-self.up, down=-self.down)
+        return _adopt(DiagonalBranchHamiltonian, up=-self.up, down=-self.down)
 
 
 def echo_amplitude(
@@ -102,7 +103,7 @@ def branch_spectrum(h: DiagonalBranchHamiltonian, amps: EnvironmentAmplitudes) -
     (up_k - down_k) / 2 shifted by the total midpoint energy, so the walk
     enumerator does the combinatorial work.
     """
-    half = CouplingSet(h._half_up - h._half_down)
+    half = _adopt(CouplingSet, couplings=h._half_up - h._half_down)
     shift = float(np.sum(h._half_up + h._half_down))
     base = enumerate_walks(half, amps)
     energies = base.energies + shift

@@ -24,7 +24,7 @@ from .model import (
     _checked_float,
     _checked_int,
     _checked_type,
-    _readonly,
+    _Value,
     decoherence_trace,
 )
 from .rng import cauchy, rekeyed_generator, standard_normal
@@ -223,11 +223,11 @@ def sample_amplitudes(
     beta = z[2::4] + 1j * z[3::4]
     # A zero norm (p = 2^-106 per spin) gives NaN, which EnvironmentAmplitudes rejects.
     norm = np.sqrt(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
-    return EnvironmentAmplitudes(alpha / norm, beta / norm)
+    return _adopt(EnvironmentAmplitudes, alpha=alpha / norm, beta=beta / norm)
 
 
 @dataclass(frozen=True, eq=False)
-class EnsembleResult:
+class EnsembleResult(_Value):
     """Pointwise complex mean trace and every realization's r(t).
 
     ``values`` is a read-only (realizations, steps) array whose row i is
@@ -236,17 +236,13 @@ class EnsembleResult:
 
     mean: DecoherenceTrace
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.array(self.values, dtype=np.complex128))
-        self._freeze()
+    _ARRAYS = {"values": np.complex128}
 
     def _freeze(self) -> None:
         _checked_type(self.mean, DecoherenceTrace, "mean")
         shape = self.values.shape
         if len(shape) != 2 or shape[0] < 1 or shape[1] != len(self.mean):
             raise ValidationError(f"ensemble values need shape (M, {len(self.mean)}), got {shape}")
-        _readonly(self.values)
 
 
 def realization_model(

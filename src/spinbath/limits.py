@@ -23,19 +23,22 @@ from .model import (
     _adopt,
     _checked_float,
     _checked_int,
-    _intake,
-    _readonly,
+    _finite_1d,
     _require_matching_sizes,
+    _Value,
 )
 
 LINDEBERG_THRESHOLD = 0.2
+
+#: Contiguous batches behind check_time_average's standard error, at most one per sample.
+_BATCHES = 32
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 
 
 @dataclass(frozen=True, eq=False)
-class StatisticsSummary:
+class StatisticsSummary(_Value):
     """Per-step means a_k and variances b_k^2, and their sums ``mean`` and
     ``variance``.  A step variance may be +inf, where g_k^2 overflows."""
 
@@ -43,18 +46,14 @@ class StatisticsSummary:
     step_variances: np.ndarray
     mean: float = field(init=False)
     variance: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "step_means", _intake(self.step_means, np.float64, "step means"))
-        object.__setattr__(self, "step_variances", np.array(self.step_variances, dtype=np.float64))
-        shape, variances = self.step_means.shape, self.step_variances
-        if variances.shape != shape or not np.all(variances >= 0.0):  # a NaN fails too
-            raise ValidationError(f"need one step variance >= 0 per step mean, got {variances!r}")
-        self._freeze()
+    _ARRAYS = {"step_means": np.float64, "step_variances": np.float64}
 
     def _freeze(self) -> None:
-        object.__setattr__(self, "mean", float(_readonly(self.step_means).sum()))
-        object.__setattr__(self, "variance", float(_readonly(self.step_variances).sum()))
+        means, variances = _finite_1d(self.step_means, "step means"), self.step_variances
+        if variances.shape != means.shape or not np.all(variances >= 0.0):  # a NaN fails too
+            raise ValidationError(f"need one step variance >= 0 per step mean, got {variances!r}")
+        object.__setattr__(self, "mean", float(means.sum()))
+        object.__setattr__(self, "variance", float(variances.sum()))
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,6 @@ def check_time_average(
     amps: EnvironmentAmplitudes,
     horizon: float | None = None,
     samples: int = 4096,
-    blocks: int = 32,
 ) -> TimeAverageCheck:
     """Compare the analytic long-time average against the estimator.
 
@@ -246,19 +244,19 @@ def check_time_average(
     incommensurate couplings, so the magnitudes |g_k| must be nonzero and
     pairwise distinct, or ``ValidationError`` is raised.
 
-    The standard error comes from batch means (``blocks`` contiguous
-    blocks), which stays honest when nearby time samples are correlated.
-    Batch means need at least two samples and two blocks.  Equal batch
-    means (a horizon too short to dephase) that miss the closed form raise
+    The standard error comes from the means of ``_BATCHES`` contiguous
+    batches, which stays honest when nearby time samples are correlated.
+    Batch means need at least two samples.  Equal batch means (a horizon
+    too short to dephase) that miss the closed form raise
     ``ValidationError``, since their gap has no standard error.
     """
-    samples, blocks = _checked_int(samples, "samples"), _checked_int(blocks, "blocks")
-    if samples < 2 or blocks < 2:
-        raise ValidationError("batch means need at least 2 samples and 2 blocks")
+    samples = _checked_int(samples, "samples")
+    if samples < 2:
+        raise ValidationError("batch means need at least 2 samples")
     horizon, sq = _sq_magnitude_samples(couplings, amps, horizon, samples)
     analytic = long_time_average_sq(amps)
     empirical = float(sq.mean())
-    blocks = min(blocks, sq.size)
+    blocks = min(_BATCHES, sq.size)
     block_means = np.array([b.mean() for b in np.array_split(sq, blocks)])
     stderr = float(block_means.std(ddof=1) / math.sqrt(blocks))
     gap = abs(empirical - analytic)

@@ -14,13 +14,13 @@ at |alpha_k|^2 = 1/2.  Couplings are angular frequencies with hbar = 1.
 
 All types are immutable value objects and all operations are pure
 functions, so everything here is safe to share between concurrent
-callers.  A public constructor copies its array arguments, and
-``_frozen_finite_1d`` checks those that must be non-empty, 1-d and
-finite, through ``_intake`` or the type's ``_freeze()``; a producer
-hands over the arrays it has just allocated through ``_adopt``, which
-copies nothing.  Either way the type's ``_freeze()`` checks its
-invariants and marks its arrays read-only, so every array the library
-returns is read-only and shares no memory with an array a caller passed in.
+callers.  Every value type extends ``_Value``: its ``_ARRAYS`` names the
+array fields a public constructor copies, and its ``_freeze()`` checks
+the invariants and derives the cached fields.  A producer hands over the
+arrays it has just allocated through ``_adopt``, which copies nothing.
+Either way ``_settle`` runs ``_freeze()`` and marks every array the
+object holds read-only, so every array the library returns is read-only
+and shares no memory with an array a caller passed in.
 """
 
 from __future__ import annotations
@@ -46,32 +46,40 @@ NORM_TOL = 1e-12
 _BLOCK_BYTES = 1 << 18
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _intake(value, dtype, what: str) -> np.ndarray:
-    """A read-only copy of a non-empty, 1-d, finite array; ``what`` names it in errors."""
-    return _frozen_finite_1d(np.array(value, dtype=dtype), what)
-
-
-def _frozen_finite_1d(a: np.ndarray, what: str) -> np.ndarray:
-    """``a`` itself, read-only, once it is checked non-empty, 1-d and finite."""
+def _finite_1d(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` itself, once it is checked non-empty, 1-d and finite."""
     if a.ndim != 1 or a.size < 1:
         raise ValidationError(f"{what} must form a non-empty 1-d sequence")
     if not np.isfinite(a).all():
         raise ValidationError(f"{what} must be finite")
-    return _readonly(a)
+    return a
+
+
+class _Value:
+    """Base of the value types: copy the ``_ARRAYS`` fields, then settle."""
+
+    _ARRAYS: dict = {}  # array field -> the dtype a public constructor copies it to
+
+    def __post_init__(self) -> None:
+        for name, dtype in self._ARRAYS.items():
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+        _settle(self)
+
+
+def _settle(obj: _Value) -> None:
+    """Check ``obj`` and derive its cached fields, then mark every array it holds read-only."""
+    obj._freeze()
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)  # half the time of flags.writeable = False
 
 
 def _adopt(cls, **fields):
-    """A ``cls`` holding ``fields`` uncopied, the rest at their defaults,
-    checked and frozen by its ``_freeze()``."""
+    """A ``cls`` holding ``fields`` uncopied, the rest at their defaults, settled."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
-    obj._freeze()
+    _settle(obj)
     return obj
 
 
@@ -86,17 +94,14 @@ def _require_matching_sizes(n_left: int, n_right: int, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class CouplingSet:
+class CouplingSet(_Value):
     """The N coupling strengths g_k (angular frequency units)."""
 
     couplings: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "couplings", np.array(self.couplings, dtype=np.float64))
-        self._freeze()
+    _ARRAYS = {"couplings": np.float64}
 
     def _freeze(self) -> None:
-        _frozen_finite_1d(self.couplings, "couplings")
+        _finite_1d(self.couplings, "couplings")
 
     @property
     def n(self) -> int:
@@ -104,7 +109,7 @@ class CouplingSet:
 
 
 @dataclass(frozen=True, eq=False)
-class EnvironmentAmplitudes:
+class EnvironmentAmplitudes(_Value):
     """Per-spin amplitude pairs (alpha_k, beta_k), each pair normalized.
 
     ``alpha_sq`` and ``beta_sq`` hold the branch weights |alpha_k|^2 and
@@ -115,10 +120,11 @@ class EnvironmentAmplitudes:
     beta: np.ndarray
     alpha_sq: np.ndarray = field(init=False, repr=False)
     beta_sq: np.ndarray = field(init=False, repr=False)
+    _ARRAYS = {"alpha": np.complex128, "beta": np.complex128}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _intake(self.alpha, np.complex128, "amplitudes"))
-        object.__setattr__(self, "beta", _intake(self.beta, np.complex128, "amplitudes"))
+    def _freeze(self) -> None:
+        _finite_1d(self.alpha, "amplitudes")
+        _finite_1d(self.beta, "amplitudes")
         _require_matching_sizes(self.alpha.size, self.beta.size, "amplitude pair arrays")
         alpha_sq, beta_sq = _abs_sq(self.alpha), _abs_sq(self.beta)
         worst = float(np.max(np.abs(alpha_sq + beta_sq - 1.0)))
@@ -126,8 +132,8 @@ class EnvironmentAmplitudes:
             raise ValidationError(
                 f"amplitude pair norm off by {worst:.3e} (> {NORM_TOL:.0e})"
             )
-        object.__setattr__(self, "alpha_sq", _readonly(alpha_sq))
-        object.__setattr__(self, "beta_sq", _readonly(beta_sq))
+        object.__setattr__(self, "alpha_sq", alpha_sq)
+        object.__setattr__(self, "beta_sq", beta_sq)
 
     @property
     def n(self) -> int:
@@ -135,9 +141,12 @@ class EnvironmentAmplitudes:
 
     @classmethod
     def equal_superposition(cls, n: int) -> "EnvironmentAmplitudes":
-        """All pairs (1/sqrt(2), 1/sqrt(2))."""
+        """All pairs (1/sqrt(2), 1/sqrt(2)); ``n`` is a count of at least 1."""
+        n = _checked_int(n, "n")
+        if n < 1:
+            raise ValidationError("need at least one amplitude pair")
         a = np.full(n, 1.0 / np.sqrt(2.0), dtype=np.complex128)
-        return cls(a, a.copy())
+        return _adopt(cls, alpha=a, beta=a.copy())
 
     @classmethod
     def from_up_weights(cls, weights) -> "EnvironmentAmplitudes":
@@ -145,11 +154,12 @@ class EnvironmentAmplitudes:
         w = np.asarray(weights, dtype=np.float64)
         if np.any(w < 0.0) or np.any(w > 1.0):
             raise ValidationError("up weights must lie in [0, 1]")
-        return cls(np.sqrt(w).astype(np.complex128), np.sqrt(1.0 - w).astype(np.complex128))
+        alpha, beta = np.sqrt(w).astype(np.complex128), np.sqrt(1.0 - w).astype(np.complex128)
+        return _adopt(cls, alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True, eq=False)
-class TimeGrid:
+class TimeGrid(_Value):
     """Uniform time grid from start to stop with a fixed number of samples."""
 
     start: float
@@ -157,7 +167,7 @@ class TimeGrid:
     steps: int
     samples: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def _freeze(self) -> None:
         start, stop = (_checked_float(v, "grid endpoints") for v in (self.start, self.stop))
         steps = _checked_int(self.steps, "grid steps")
         if steps < 1:
@@ -171,24 +181,25 @@ class TimeGrid:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "stop", stop)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "samples", _readonly(np.linspace(start, stop, steps)))
+        object.__setattr__(self, "samples", np.linspace(start, stop, steps))
 
     def __len__(self) -> int:
         return self.steps
 
 
 @dataclass(frozen=True, eq=False)
-class DecoherenceTrace:
+class DecoherenceTrace(_Value):
     """Sampled complex r(t) on a time grid, and the environment size."""
 
     times: np.ndarray
     values: np.ndarray
     n_spins: int
+    _ARRAYS = {"times": np.float64, "values": np.complex128}
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", _intake(self.times, np.float64, "trace times"))
-        object.__setattr__(self, "values", np.array(self.values, dtype=np.complex128))
-        self._freeze()
+        # Public only: producers adopt a grid's samples or times they checked.
+        _finite_1d(np.asarray(self.times, dtype=np.float64), "trace times")
+        super().__post_init__()
 
     def _freeze(self) -> None:
         n_spins = _checked_n_spins(self.n_spins)
@@ -203,8 +214,6 @@ class DecoherenceTrace:
         if at_zero.size and not (at_zero == 1.0 + 0.0j).all():
             raise ValidationError("r(0) must equal 1 exactly")
         object.__setattr__(self, "n_spins", n_spins)
-        _readonly(times)
-        _readonly(values)
 
     def __len__(self) -> int:
         return self.times.size
@@ -310,7 +319,7 @@ def decoherence_trace(
     stay within ``_BLOCK_BYTES`` each.
     """
     _require_matching_sizes(couplings.n, amps.n, "couplings vs amplitudes")
-    samples = grid.samples if isinstance(grid, TimeGrid) else _intake(grid, np.float64, "times")
+    samples = grid.samples if isinstance(grid, TimeGrid) else _finite_1d(np.array(grid, float), "times")
     g = couplings.couplings
     times = samples[:, np.newaxis]
     block = max(1, _BLOCK_BYTES // (16 * couplings.n))

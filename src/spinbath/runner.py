@@ -444,9 +444,11 @@ def run(cfg: RunConfig) -> int:
     and a manifest.
 
     The output directory is created first, but no file is opened until
-    every output is computed, so a run that raises writes no file.
-    Returns 0 on success; validation, capacity and I/O problems raise and
-    are mapped to exit codes by the CLI.
+    every output is computed, so a run that fails computing writes no
+    file.  An earlier run's manifest is deleted before the first output
+    is opened, so a run that fails writing may leave tables but no
+    manifest.  Returns 0 on success; validation, capacity and I/O
+    problems raise and are mapped to exit codes by the CLI.
     """
     if cfg.bins is not None:
         _capped_bins(cfg.bins)  # before any walk is enumerated
@@ -455,6 +457,7 @@ def run(cfg: RunConfig) -> int:
     # Overflows near the float limit fail the checks on results; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         outputs, details = _EXPERIMENTS[cfg.figure or cfg.experiment](cfg)
+    (out_dir / "manifest.json").unlink(missing_ok=True)  # it would vouch for stale hashes
     entries: list[dict[str, Any]] = []
     for stem, role, data in outputs:
         if isinstance(data, TimeAverageCheck):

@@ -25,8 +25,8 @@ from .model import (
     _checked_int,
     _checked_n_spins,
     _checked_type,
-    _readonly,
     _require_matching_sizes,
+    _Value,
 )
 
 #: Ceiling on enumerable environment sizes (2^24 = 16.7M walks).
@@ -44,7 +44,7 @@ _BYTES_PER_BIN = 41
 
 
 @dataclass(frozen=True, eq=False)
-class EnergySpectrum:
+class EnergySpectrum(_Value):
     """Terminal energies E_W with weights p_W, in walk (bitmask) order
     unless ``merged``, in which case energies are strictly increasing."""
 
@@ -52,11 +52,10 @@ class EnergySpectrum:
     weights: np.ndarray
     n_spins: int
     merged: bool = False
+    _ARRAYS = {"energies": np.float64, "weights": np.float64}
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "energies", np.array(self.energies, dtype=np.float64))
-        object.__setattr__(self, "weights", np.array(self.weights, dtype=np.float64))
-        self._freeze()
+        super().__post_init__()
         # Weights are checked here only: producers build theirs from checked
         # weights.  Energies, which can overflow, or tie when merged with
         # epsilon below one ulp, are checked in _freeze on every path.
@@ -78,8 +77,6 @@ class EnergySpectrum:
         if self.merged and not _gaps_above(e, 0.0, np.empty(e.size - 1, dtype=bool)).all():
             raise ValidationError("merged spectrum must have strictly increasing energies")
         object.__setattr__(self, "n_spins", n_spins)
-        _readonly(e)
-        _readonly(w)
 
     def __len__(self) -> int:
         return self.energies.size
@@ -96,16 +93,12 @@ class EnergySpectrum:
 
 
 @dataclass(frozen=True, eq=False)
-class LdosHistogram:
+class LdosHistogram(_Value):
     """Binned weight distribution over terminal energies."""
 
     edges: np.ndarray
     masses: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", np.array(self.edges, dtype=np.float64))
-        object.__setattr__(self, "masses", np.array(self.masses, dtype=np.float64))
-        self._freeze()
+    _ARRAYS = {"edges": np.float64, "masses": np.float64}
 
     def _freeze(self) -> None:
         edges, masses = self.edges, self.masses
@@ -117,8 +110,6 @@ class LdosHistogram:
             raise ValidationError("histogram edges must be strictly increasing")
         if np.any(masses < 0.0) or not abs(float(masses.sum()) - 1.0) <= _WEIGHT_TOL:
             raise ValidationError("histogram masses must be nonnegative and sum to 1")
-        _readonly(edges)
-        _readonly(masses)
 
     @property
     def centers(self) -> np.ndarray:

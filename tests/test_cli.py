@@ -130,6 +130,22 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert "error[io]" in capsys.readouterr().err
 
 
+def test_failed_write_leaves_no_stale_manifest(tmp_path, capsys):
+    # The rerun overwrites both histograms, then fails on the traces; the
+    # first run's manifest would list the old histograms' hashes.
+    out = tmp_path / "fig3"
+    argv = ["figure", "--which", "fig3", "--n", "4", "--realizations", "2", "--steps", "5",
+            "--out-dir", str(out), "--quiet"]
+    assert main(argv) == 0
+    (out / "fig3_traces_n4.csv").unlink()
+    (out / "fig3_traces_n4.csv").mkdir()
+    assert main([*argv, "--seed", "9"]) == 4
+    assert "error[io]" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fig3_couplings_hist.csv", "fig3_energy_hist_n4.csv", "fig3_trace_n100.csv", "fig3_traces_n4.csv"
+    ]
+
+
 def test_check_average_subcommand(tmp_path):
     out = tmp_path / "avg"
     code = main(

@@ -45,6 +45,17 @@ class TestTypes:
         with pytest.raises(sb.DimensionMismatchError):
             sb.EnvironmentAmplitudes([1.0, 0.0], [0.0])
 
+    @pytest.mark.parametrize("n", [2.0, np.int64(3)])
+    def test_equal_superposition_takes_whole_numbers(self, n):
+        amps = sb.EnvironmentAmplitudes.equal_superposition(n)
+        assert amps.n == n and amps.alpha.tobytes() == amps.beta.tobytes()
+
+    @pytest.mark.parametrize("n", [True, 2.5, "3", -1, 0])
+    def test_equal_superposition_rejects_bad_counts(self, n):
+        # A count follows README's rule: np.full would take True as 1 and fail on 2.5.
+        with pytest.raises(sb.ValidationError, match="integer|at least one amplitude pair"):
+            sb.EnvironmentAmplitudes.equal_superposition(n)
+
     def test_time_grid_samples(self):
         grid = sb.TimeGrid(0.0, 1.0, 5)
         assert len(grid) == 5

@@ -2,7 +2,9 @@
 
 A public constructor copies its array arguments and freezes the copies,
 so a caller who keeps writing to the arrays it passed in changes
-nothing.  Every array a library function returns is read-only.
+nothing.  Every array a library function returns is read-only.  A
+producer adopts the arrays it allocates uncopied, and the type's
+invariants are checked on that path as on the public one.
 """
 
 from dataclasses import is_dataclass
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import spinbath as sb
+from spinbath.model import _adopt
 
 
 def stored_arrays(obj) -> list[np.ndarray]:
@@ -94,6 +97,35 @@ BUILDERS = {
 }
 
 
+#: Type -> fields, of the dtypes its constructor copies to, that break one
+#: invariant its ``_freeze()`` checks.
+BROKEN = {
+    "CouplingSet": lambda: dict(couplings=np.array([0.5, np.nan])),
+    "EnvironmentAmplitudes": lambda: dict(alpha=np.array([0.9 + 0j]), beta=np.array([0.1 + 0j])),
+    "TimeGrid": lambda: dict(start=1.0, stop=0.0, steps=5),
+    "DecoherenceTrace": lambda: dict(
+        times=np.array([0.0, 1.0]), values=np.array([1.0 + 0j, 1.5 + 0j]), n_spins=1
+    ),
+    "EnergySpectrum": lambda: dict(
+        energies=np.array([1.0, 0.0]), weights=np.array([0.5, 0.5]), n_spins=1, merged=True
+    ),
+    "LdosHistogram": lambda: dict(edges=np.array([0.0, 2.0, 1.0]), masses=np.array([0.5, 0.5])),
+    "DiagonalBranchHamiltonian": lambda: dict(up=np.array([1.0, 2.0]), down=np.array([-1.0])),
+    "StatisticsSummary": lambda: dict(step_means=np.array([0.1]), step_variances=np.array([-1.0])),
+    "EnsembleResult": lambda: dict(mean=_trace()[0], values=np.ones((1, 3), dtype=np.complex128)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_adopting_runs_the_checks_of_the_public_constructor(name):
+    cls = getattr(sb, name)
+    with pytest.raises((sb.ValidationError, sb.DimensionMismatchError)) as public:
+        cls(**BROKEN[name]())
+    with pytest.raises(public.type) as adopted:
+        _adopt(cls, **BROKEN[name]())
+    assert str(adopted.value) == str(public.value)
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_value_type_keeps_read_only_copies_of_caller_arrays(name):
     obj, caller = BUILDERS[name]()
@@ -145,6 +177,10 @@ def _realization_model():
 
 PRODUCERS = {
     "sample_couplings": lambda: sb.sample_couplings(sb.CouplingDistribution.uniform(0.5, 2.0), 4, 7),
+    "sample_amplitudes": lambda: sb.sample_amplitudes(sb.AmplitudeRule.random(), 4, 7),
+    "equal_superposition": lambda: sb.EnvironmentAmplitudes.equal_superposition(3),
+    "from_up_weights": lambda: sb.EnvironmentAmplitudes.from_up_weights(np.array([0.2, 1.0])),
+    "-DiagonalBranchHamiltonian(...)": lambda: -_hamiltonian()[0],
     "realization_model": _realization_model,
     "decoherence_trace": lambda: sb.decoherence_trace(*_model(), np.array([0.0, 0.5, 1.0])),
     "enumerate_walks": lambda: sb.enumerate_walks(*_model()),

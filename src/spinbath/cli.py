@@ -53,6 +53,9 @@ def _fail(code: str, exc: Exception, status: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Imported at call time, so that a replacement of runner.run, such as a
+    # tracer's wrapper, is the one called; bound at module top, cli would call
+    # the original and the runner.run span would count as cli's own time.
     from .runner import run
 
     try:

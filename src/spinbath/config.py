@@ -81,10 +81,10 @@ class RunConfig:
                 value = getattr(self, name)
                 if kind in (str, Path) or value is None and optional:
                     continue
-                check = {int: _checked_int, float: _checked_float}.get(kind)
-                value = check(value, name) if check else _checked_type(value, kind, name)
-                if kind is int and value < 1 and name != "seed":
-                    raise ConfigError(f"{name} must be >= 1")
+                if kind is int:
+                    value = _checked_int(value, name, None if name == "seed" else 1)
+                else:
+                    value = _checked_float(value, name) if kind is float else _checked_type(value, kind, name)
                 object.__setattr__(self, name, value)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
@@ -183,7 +183,7 @@ def load_config(path: str | Path) -> dict[str, Any]:
             parser.read_file(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     names = {(s.section, s.key): name for name, s in SETTINGS.items()}

@@ -166,12 +166,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         _checked_type(self.distribution, CouplingDistribution, "distribution")
         _checked_type(self.amplitudes, AmplitudeRule, "amplitudes")
-        for name in ("n", "realizations", "seed"):
-            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
-        if self.n < 1:
-            raise ValidationError("need at least one environment spin")
-        if self.realizations < 1:
-            raise ValidationError("need at least one realization")
+        for name, least in (("n", 1), ("realizations", 1), ("seed", None)):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name, least))
 
     @cached_property
     def _shared_amplitudes(self) -> EnvironmentAmplitudes | None:
@@ -187,9 +183,7 @@ def sample_couplings(
 ) -> CouplingSet:
     """Draw N couplings; identical (dist, n, seed, stream) give identical bits."""
     _checked_type(dist, CouplingDistribution, "distribution")
-    n, seed, stream = _checked_int(n, "n"), _checked_int(seed, "seed"), _checked_int(stream, "stream")
-    if n < 1:
-        raise ValidationError("need at least one coupling")
+    n, seed, stream = _checked_int(n, "n", 1), _checked_int(seed, "seed"), _checked_int(stream, "stream")
     gen = rekeyed_generator(seed, stream)
     if dist.kind == "fixed":
         values = np.full(n, dist.params[0])
@@ -210,9 +204,7 @@ def sample_amplitudes(
 ) -> EnvironmentAmplitudes:
     """Build N amplitude pairs under the rule; deterministic in (seed, stream)."""
     _checked_type(rule, AmplitudeRule, "amplitude rule")
-    n, seed, stream = _checked_int(n, "n"), _checked_int(seed, "seed"), _checked_int(stream, "stream")
-    if n < 1:
-        raise ValidationError("need at least one amplitude pair")
+    n, seed, stream = _checked_int(n, "n", 1), _checked_int(seed, "seed"), _checked_int(stream, "stream")
     if rule.kind == "equal":
         return EnvironmentAmplitudes.equal_superposition(n)
     if rule.kind == "fixed":

@@ -123,9 +123,9 @@ def laplace_demoivre_weight(n: int, l: int, up_weight: float) -> float:
     Approximates C(n, l) |alpha|^(2(n-l)) |beta|^(2l) for equal couplings
     and equal amplitudes with |alpha|^2 = up_weight.
     """
-    n, l = _checked_int(n, "n"), _checked_int(l, "l")
-    if n < 1 or not 0 <= l <= n:
-        raise ValidationError("need n >= 1 and 0 <= l <= n")
+    n, l = _checked_int(n, "n", 1), _checked_int(l, "l", 0)
+    if l > n:
+        raise ValidationError(f"l must be <= n = {n}, got {l!r}")
     up_weight = _checked_float(up_weight, "up_weight")
     if not 0.0 < up_weight < 1.0:
         raise DegenerateDistributionError("binomial Gaussian needs 0 < |alpha|^2 < 1")
@@ -250,9 +250,7 @@ def check_time_average(
     too short to dephase) that miss the closed form raise
     ``ValidationError``, since their gap has no standard error.
     """
-    samples = _checked_int(samples, "samples")
-    if samples < 2:
-        raise ValidationError("batch means need at least 2 samples")
+    samples = _checked_int(samples, "samples", 2)  # batch means need two
     horizon, sq = _sq_magnitude_samples(couplings, amps, horizon, samples)
     analytic = long_time_average_sq(amps)
     empirical = float(sq.mean())

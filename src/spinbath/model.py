@@ -142,9 +142,7 @@ class EnvironmentAmplitudes(_Value):
     @classmethod
     def equal_superposition(cls, n: int) -> "EnvironmentAmplitudes":
         """All pairs (1/sqrt(2), 1/sqrt(2)); ``n`` is a count of at least 1."""
-        n = _checked_int(n, "n")
-        if n < 1:
-            raise ValidationError("need at least one amplitude pair")
+        n = _checked_int(n, "n", 1)
         a = np.full(n, 1.0 / np.sqrt(2.0), dtype=np.complex128)
         return _adopt(cls, alpha=a, beta=a.copy())
 
@@ -169,9 +167,7 @@ class TimeGrid(_Value):
 
     def _freeze(self) -> None:
         start, stop = (_checked_float(v, "grid endpoints") for v in (self.start, self.stop))
-        steps = _checked_int(self.steps, "grid steps")
-        if steps < 1:
-            raise ValidationError("grid needs at least one step")
+        steps = _checked_int(self.steps, "grid steps", 1)
         if start > stop:
             raise ValidationError("grid start must not exceed stop")
         if steps > 1 and start == stop:
@@ -219,19 +215,21 @@ class DecoherenceTrace(_Value):
         return self.times.size
 
 
-def _checked_int(value, what: str) -> int:
-    """value as an int; a bool or a value with a fractional part raises,
-    where int() would take True as 1 and 2.5 as 2.
+def _checked_int(value, what: str, least: int | None = None) -> int:
+    """value as an int of at least ``least``; a bool or a value with a
+    fractional part raises, where int() would take True as 1 and 2.5 as 2.
 
     Python and numpy integers, whole-number floats and 0-d arrays of them pass.
     """
-    if type(value) is int:
-        return value
-    value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
-    whole = isinstance(value, (float, np.floating)) and value.is_integer()
-    if whole or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if type(value) is not int:
+        value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+        whole = isinstance(value, (float, np.floating)) and value.is_integer()
+        if not (whole or isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+            raise ValidationError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value!r}")
+    return value
 
 
 def _checked_n_spins(n) -> int:

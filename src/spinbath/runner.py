@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -420,23 +420,17 @@ _EXPERIMENTS = {
 
 
 def _config_dict(cfg: RunConfig) -> dict[str, Any]:
-    return {
-        "experiment": cfg.experiment,
-        "n": cfg.n,
-        "couplings": str(cfg.distribution),
-        "amplitudes": str(cfg.amplitudes),
-        "seed": cfg.seed,
-        "realizations": cfg.realizations,
-        "grid": {"start": cfg.start, "stop": cfg.stop, "steps": cfg.steps},
-        "out_dir": str(cfg.out_dir),
-        "format": cfg.format,
-        "bins": cfg.bins,
-        "merge": cfg.merge,
-        "merge_epsilon": cfg.merge_epsilon,
-        "horizon": cfg.horizon,
-        "samples": cfg.samples,
-        "figure": cfg.figure,
-    }
+    """Every RunConfig field but ``quiet``, in the manifest's spellings."""
+    config: dict[str, Any] = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name in ("start", "stop", "steps"):
+            config.setdefault("grid", {})[f.name] = value
+        elif f.name in ("distribution", "amplitudes", "out_dir"):
+            config["couplings" if f.name == "distribution" else f.name] = str(value)
+        elif f.name != "quiet":
+            config[f.name] = value
+    return config
 
 
 def run(cfg: RunConfig) -> int:
@@ -452,7 +446,7 @@ def run(cfg: RunConfig) -> int:
     """
     if cfg.bins is not None:
         _capped_bins(cfg.bins)  # before any walk is enumerated
-    out_dir = Path(cfg.out_dir)
+    out_dir = cfg.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     # Overflows near the float limit fail the checks on results; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -262,9 +262,7 @@ def _compacted(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def _capped_bins(bins: int) -> int:
     """bins as an int; CapacityError above the longest table the walk cap allows."""
-    bins = _checked_int(bins, "bins")
-    if bins < 1:
-        raise ValidationError("histogram needs at least one bin")
+    bins = _checked_int(bins, "bins", 1)
     if bins > 1 << ENUMERATION_CAP:
         raise CapacityError(
             f"a histogram of {bins} bins needs about {_BYTES_PER_BIN * bins} bytes; "

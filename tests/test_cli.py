@@ -67,6 +67,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_exit_code(tmp_path, capsys):
+    # configparser reads the file's lines; bytes that are not UTF-8 raise
+    # UnicodeDecodeError, which escaped as a traceback with exit 1.
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[run]\nseed = \xff\xfe7\n")
+    out = tmp_path / "out"
+    code = main(["trace", "--config", str(path), "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    assert f"error[config]: cannot parse {path}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_invalid_distribution_exit_code(capsys):
     code = main(["trace", "--couplings", "gaussian(0, -3)", "--out-dir", "unused"])
     assert code == 2

@@ -1,9 +1,10 @@
 """Every name a library module imports is used in that module, and the
-scalar checks live in ``model.py`` alone.
+scalar checks, count bounds among them, live in ``model.py`` alone.
 
 No linter runs in CI, so these checks stand in for one: a refactor that
 moves code between modules tends to leave an import behind, or a second
-copy of a ``_checked_*`` helper whose rule drifts from the first.
+copy of a ``_checked_*`` helper whose rule drifts from the first, or a
+count bound written by hand beside ``_checked_int`` instead of passed to it.
 ``__init__.py`` is exempt from the import check, since its imports are
 the public API.
 """
@@ -61,3 +62,31 @@ def test_check_finds_a_checked_helper():
         "_checked_type",
         "_checked_x",
     ]
+
+
+def hand_written_bounds(source: str) -> list[int]:
+    """The lines of ``source`` holding an ``if <name or attribute> < <int>:``
+    whose body is a single ``raise``: a bound ``_checked_int`` should hold."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, (ast.Name, ast.Attribute))
+        and [type(op) for op in node.test.ops] == [ast.Lt]
+        and isinstance(node.test.comparators[0], ast.Constant)
+        and type(node.test.comparators[0].value) is int
+        and len(node.body) == 1
+        and isinstance(node.body[0], ast.Raise)
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_counts_are_bounded_by_checked_int(module):
+    assert hand_written_bounds((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_a_hand_written_bound():
+    source = "if n < 1:\n    raise ValueError\nif self.m < 2:\n    raise ValueError('m')\n"
+    kept = "if n < x:\n    raise ValueError\nif n < 1:\n    n = 1\nif n < 1.5:\n    raise ValueError\n"
+    assert hand_written_bounds(source + kept) == [1, 3]

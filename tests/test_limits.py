@@ -432,7 +432,7 @@ class TestEmpiricalTimeAverage:
         # One batch has no spread: the standard error would be NaN.
         c = sb.CouplingSet([1.0, 2.3])
         a = exact_half_amplitudes(2)
-        with pytest.raises(sb.ValidationError, match="at least 2 samples"):
+        with pytest.raises(sb.ValidationError, match="samples must be >= 2, got 1"):
             sb.check_time_average(c, a, horizon=200.0, samples=1)
 
     def test_check_rejects_equal_batch_means_off_the_closed_form(self):

@@ -53,7 +53,7 @@ class TestTypes:
     @pytest.mark.parametrize("n", [True, 2.5, "3", -1, 0])
     def test_equal_superposition_rejects_bad_counts(self, n):
         # A count follows README's rule: np.full would take True as 1 and fail on 2.5.
-        with pytest.raises(sb.ValidationError, match="integer|at least one amplitude pair"):
+        with pytest.raises(sb.ValidationError, match="integer|n must be >= 1"):
             sb.EnvironmentAmplitudes.equal_superposition(n)
 
     def test_time_grid_samples(self):

@@ -82,9 +82,12 @@ CASES = {
         lambda _: sb.StatisticsSummary([1.0], [math.nan]),
         "need one step variance >= 0 per step mean, got array([nan])",
     ),
-    "couplings-none": (lambda _: sb.sample_couplings(_FIXED, 0, 7), "at least one coupling"),
+    "couplings-none": (lambda _: sb.sample_couplings(_FIXED, 0, 7), "n must be >= 1, got 0"),
     "amplitudes-none": (
-        lambda _: sb.sample_amplitudes(_EQUAL, 0, 7), "at least one amplitude pair"
+        lambda _: sb.sample_amplitudes(_EQUAL, 0, 7), "n must be >= 1, got 0"
+    ),
+    "walk-level-above-n": (
+        lambda _: sb.laplace_demoivre_weight(4, 5, 0.5), "l must be <= n = 4, got 5"
     ),
     "realization-index": (
         lambda _: sb.realization_model(sb.EnsembleSpec(_FIXED, _EQUAL, 2, 3, 7), 3),
@@ -183,3 +186,38 @@ def test_float_parameter_rejects_what_is_not_a_finite_number(parameter, value):
 def test_float_parameter_takes_any_real_as_its_float(parameter, value):
     _, call = FLOAT_PARAMETERS[parameter]
     assert _outcome(call, value) == _outcome(call, float(value))
+
+
+#: Each count parameter -> (its name in messages, its least value, a call
+#: taking the value).  The RunConfig fields raise ConfigError, the rest
+#: ValidationError.
+COUNT_PARAMETERS = {
+    "equal_superposition": ("n", 1, sb.EnvironmentAmplitudes.equal_superposition),
+    "TimeGrid": ("grid steps", 1, lambda v: sb.TimeGrid(0.0, 1.0, v)),
+    "EnsembleSpec-n": ("n", 1, lambda v: sb.EnsembleSpec(_FIXED, _EQUAL, v, 3, 7)),
+    "EnsembleSpec-realizations": (
+        "realizations", 1, lambda v: sb.EnsembleSpec(_FIXED, _EQUAL, 2, v, 7)
+    ),
+    "sample_couplings": ("n", 1, lambda v: sb.sample_couplings(_FIXED, v, 7)),
+    "sample_amplitudes": ("n", 1, lambda v: sb.sample_amplitudes(_EQUAL, v, 7)),
+    "check_time_average": (
+        "samples", 2, lambda v: sb.check_time_average(_COUPLINGS, _AMPS, horizon=200.0, samples=v)
+    ),
+    "laplace_demoivre_weight-n": ("n", 1, lambda v: sb.laplace_demoivre_weight(v, 0, 0.5)),
+    "laplace_demoivre_weight-l": ("l", 0, lambda v: sb.laplace_demoivre_weight(4, v, 0.5)),
+    "ldos": ("bins", 1, lambda v: sb.ldos(_SPECTRUM, v)),
+    **{
+        f"RunConfig-{field}": (field, 1, lambda v, field=field: sb.RunConfig("trace", **{field: v}))
+        for field in ("n", "realizations", "steps", "bins", "samples")
+    },
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(COUNT_PARAMETERS))
+def test_count_below_its_bound_names_parameter_and_bound(parameter):
+    what, least, call = COUNT_PARAMETERS[parameter]
+    kind = ConfigError if parameter.startswith("RunConfig") else sb.ValidationError
+    with pytest.raises(kind) as info:
+        call(least - 1)
+    assert type(info.value) is kind
+    assert f"{what} must be >= {least}, got {least - 1}" in str(info.value)

@@ -72,9 +72,11 @@ class EnergySpectrum(_Value):
         e, w = self.energies, self.weights
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
             raise ValidationError("spectrum needs matching non-empty 1-d arrays")
-        if not np.all(np.isfinite(e)):
+        # One window at a time, so no mask as long as the spectrum is held.
+        finite = (np.isfinite(e[lo : lo + _CHUNK_ROWS]).all() for lo in range(0, e.size, _CHUNK_ROWS))
+        if not all(finite):
             raise ValidationError("spectrum energies must be finite")
-        if self.merged and not _gaps_above(e, 0.0, np.empty(e.size - 1, dtype=bool)).all():
+        if self.merged and not _increasing(e):
             raise ValidationError("merged spectrum must have strictly increasing energies")
         object.__setattr__(self, "n_spins", n_spins)
 
@@ -106,7 +108,7 @@ class LdosHistogram(_Value):
             raise ValidationError("histogram needs len(edges) == len(masses) + 1")
         if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(masses))):
             raise ValidationError("histogram edges and masses must be finite")
-        if not _gaps_above(edges, 0.0, np.empty(masses.size, dtype=bool)).all():
+        if not _increasing(edges):
             raise ValidationError("histogram edges must be strictly increasing")
         if np.any(masses < 0.0) or not abs(float(masses.sum()) - 1.0) <= _WEIGHT_TOL:
             raise ValidationError("histogram masses must be nonnegative and sum to 1")
@@ -173,6 +175,9 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     When the weights are one broadcast value, as ``enumerate_walks``
     gives equal amplitudes, only the energies are sorted; otherwise an
     index sort carries the weights along.  Both give the same bits.
+    Energies that mirror about zero, e[m] == -e[n - 1 - m] for every m,
+    as enumerated walks do, are sorted from the magnitudes of their first
+    half alone (``_sorted``); other energies by ``np.sort``.
 
     It drops ``spectrum`` once its arrays are read, and the walk energies
     once sorted, before it gathers weights: Python 3.11+ moves arguments
@@ -190,7 +195,7 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
         # Equal energies have equal bits, save +-0.0, and the group sums
         # below give +0.0 for either zero.
         w = w[:1].copy()
-        e = np.sort(e)
+        e = _sorted(e)
     else:
         # argsort's default kind sets the tie order, and so each group's
         # summation order; another kind would change merged bits.
@@ -222,26 +227,50 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     else:
         level_w = _compacted(w, starts)
         level_w += 0.0
-    del w
-    joins = idx[~head]
-    group = np.cumsum(head) - 1
+    del w, starts
+    # A group head's level is its position less the joins before it.
+    heads = idx[head]
+    rows = heads - np.searchsorted(idx[~head], heads)
+    del idx, heads
+    group = np.cumsum(head)
+    group -= 1
     w_sum = np.bincount(group, weights=w_sub)
     # Averaging offsets from each group's lowest energy keeps exactly
     # degenerate groups at their exact energy (no double rounding).
     base = e_sub[head]
-    delta = e_sub - base[group]
+    delta = np.subtract(e_sub, base[group], out=e_sub)
+    del e_sub
     safe = np.where(w_sum > 0.0, w_sum, 1.0)
     mean_delta = np.bincount(group, weights=w_sub * delta) / safe
     if np.any(w_sum == 0.0):
         counts = np.bincount(group)
         plain = np.bincount(group, weights=delta) / counts
         mean_delta = np.where(w_sum > 0.0, mean_delta, plain)
-    # A group head's level is its position less the joins before it.
-    heads = idx[head]
-    rows = heads - np.searchsorted(joins, heads)
     levels[rows] = base + mean_delta
     level_w[rows] = w_sum
     return _adopt(EnergySpectrum, energies=levels, weights=level_w, n_spins=n_spins, merged=True)
+
+
+def _sorted(e: np.ndarray) -> np.ndarray:
+    """np.sort(e) by value, sorting only half of a mirrored e.
+
+    Flipping every spin negates a walk energy, and rounding to nearest
+    is odd, so enumerated energies hold e[m] == -e[n - 1 - m] exactly.
+    When every such pair does, the sorted values are the sorted
+    magnitudes of the first half, below them their negated reverse; zeros
+    there come out as -0.0.  Pairs are compared one _CHUNK_ROWS window at
+    a time; an odd n or any unequal pair takes np.sort.
+    """
+    n = e.size
+    half = n // 2
+    windows = ((lo, min(lo + _CHUNK_ROWS, half)) for lo in range(0, half, _CHUNK_ROWS))
+    if n % 2 or not all(np.array_equal(e[lo:hi], -e[n - hi : n - lo][::-1]) for lo, hi in windows):
+        return np.sort(e)
+    out = np.empty(n)
+    upper = np.abs(e[:half], out=out[half:])
+    upper.sort()
+    np.negative(upper[::-1], out=out[:half])
+    return out
 
 
 def _compacted(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -271,18 +300,27 @@ def _capped_bins(bins: int) -> int:
     return bins
 
 
-def _gaps_above(e: np.ndarray, threshold: float, out: np.ndarray) -> np.ndarray:
-    """Set out[i] = e[i + 1] - e[i] > threshold and return out.
+def _gaps_above(e: np.ndarray, threshold: float, out: np.ndarray) -> bool:
+    """Set out[i] = e[i + 1] - e[i] > threshold; return whether every gap is.
 
     The gaps are taken from windows of _CHUNK_ROWS + 1 entries that
     overlap by one, so one chunk of gaps is held, never a whole-array
-    difference.
+    difference.  An out shorter than the e.size - 1 gaps is one window's
+    buffer, which every window reuses.
     """
+    whole = out.size == e.size - 1
+    every = True
     for lo in range(0, e.size - 1, _CHUNK_ROWS):
-        np.greater(
-            np.diff(e[lo : lo + _CHUNK_ROWS + 1]), threshold, out=out[lo : lo + _CHUNK_ROWS]
-        )
-    return out
+        window = e[lo : lo + _CHUNK_ROWS + 1]
+        at = lo if whole else 0
+        above = np.greater(np.diff(window), threshold, out=out[at : at + window.size - 1])
+        every = every and bool(above.all())
+    return every
+
+
+def _increasing(a: np.ndarray) -> bool:
+    """Whether a increases strictly, its gaps checked in one reused window."""
+    return _gaps_above(a, 0.0, np.empty(min(a.size - 1, _CHUNK_ROWS), dtype=bool))
 
 
 def _uniform_edges(lo: float, hi: float, bins: int, what: str) -> np.ndarray:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinbath as sb
@@ -142,6 +142,32 @@ class TestEnumerateWalks:
         spec = sb.enumerate_walks(c, a)
         assert float(spec.weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=st.lists(
+            st.one_of(
+                st.floats(-10.0, 10.0),
+                st.sampled_from([0.0, -0.0]),
+                st.floats(1e299, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example(g=sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), 16, 7).couplings)
+    @example(g=[0.0] * 8)
+    @example(g=[3.0, -1.5, 0.25, -7.0, 1e-300, -2.5])
+    @example(g=[0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
+    @example(g=[1e300, -3e300, 7e299, 1.0, -5e299])
+    def test_energies_mirror_about_zero(self, g):
+        # Flipping every spin negates a walk's energy, and every step rounds
+        # to nearest, which is odd, so e[m] == -e[2^N - 1 - m] exactly (by
+        # value: a zero may come out with either sign).  Couplings near
+        # 1e300 sum to far below the float limit.
+        amps = sb.EnvironmentAmplitudes.equal_superposition(len(g))
+        e = sb.enumerate_walks(sb.CouplingSet(g), amps).energies
+        assert np.array_equal(e, -e[::-1])
+
     @pytest.mark.parametrize(
         "rule, shared", [("equal", True), ("fixed(0.5)", True), ("fixed(0.3)", False)]
     )
@@ -246,10 +272,10 @@ class TestEnergySpectrum:
     @pytest.mark.parametrize(
         "couplings, rule, walk_arrays",
         [
-            pytest.param("gaussian(0, 1)", "equal", 3.0, id="equal-3.0"),
+            pytest.param("gaussian(0, 1)", "equal", 2.5, id="equal-2.5"),
             pytest.param("gaussian(0, 1)", "random", 3.75, id="random-3.75"),
-            pytest.param("fixed(1.0)", "equal", 7.5, id="heavy-merge-equal-7.5"),
-            pytest.param("fixed(1.0)", "random", 7.5, id="heavy-merge-random-7.5"),
+            pytest.param("fixed(1.0)", "equal", 4.0, id="heavy-merge-equal-4.0"),
+            pytest.param("fixed(1.0)", "random", 6.0, id="heavy-merge-random-6.0"),
         ],
     )
     def test_merge_peak_in_walk_arrays(self, couplings, rule, walk_arrays):
@@ -258,10 +284,14 @@ class TestEnergySpectrum:
         # weights, if any) are compacted in place into the two outputs;
         # equal weights add a level weight array, random weights the
         # argsort permutation while gathering.  Gap scans hold one
-        # 2^16-gap window (1/4 array), masks 1/8 array each.  Equal
-        # couplings merge every walk into N + 1 levels: the group sums
-        # hold several walk arrays of indices and offsets, and the few
-        # levels are copied out of the sorted buffers, which are freed.
+        # 2^16-gap window (1/4 array), masks 1/8 array each; the
+        # group-start mask is freed before the result checks its order,
+        # one window at a time.  Equal couplings merge every walk into
+        # N + 1 levels: the indices, energies (and weights) of every
+        # multi-member entry are gathered beside the sorted buffers (3.25
+        # arrays, 5.25 with weights), the group sums offset the gathered
+        # energies in place, and the few levels are copied out of the
+        # sorted buffers, which are freed.
         n = 18
         dist = sb.CouplingDistribution.parse(couplings)
         c = sb.sample_couplings(dist, n, 5)
@@ -276,15 +306,15 @@ class TestEnergySpectrum:
 
     @pytest.mark.parametrize(
         "rule, walk_arrays",
-        [pytest.param("equal", 2.75, id="equal-2.75"), pytest.param("random", 4.25, id="random-4.25")],
+        [pytest.param("equal", 2.5, id="equal-2.5"), pytest.param("random", 4.25, id="random-4.25")],
     )
     def test_merge_of_fresh_walks_peak_in_walk_arrays(self, rule, walk_arrays):
         # N = 18 with Gaussian couplings, enumeration included.  No name
         # holds the walk spectrum, so the merge frees its energies once
         # they are sorted (equal weights: sorted copy, level weights and
-        # masks; 3.5 arrays while the walks were held) or gathered (random
-        # weights: walk weights, permutation and both gathered copies at
-        # most; 5.0 while held).
+        # one gap window; 3.5 arrays while the walks were held) or
+        # gathered (random weights: walk weights, permutation and both
+        # gathered copies at most; 5.0 while held).
         n = 18
         c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 5)
         a = sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), n, 5)
@@ -404,6 +434,53 @@ class TestMergeDegenerate:
         merged = sb.merge_degenerate(spec, 0.5)
         want_e, want_w = whole_array_merge(spec.energies, spec.weights, 0.5)
         assert len(merged) == 2
+        assert merged.energies.view(np.int64).tolist() == want_e.view(np.int64).tolist()
+        assert merged.weights.view(np.int64).tolist() == want_w.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    @pytest.mark.parametrize(
+        "case, mirrored",
+        [
+            ("enumerated-zero-level", True),
+            ("unmirrored-pair-at-2^16-1", False),
+            ("unmirrored-pair-at-2^16", False),
+            ("odd-size", False),
+            ("all-zero", True),
+        ],
+    )
+    def test_mirrored_sort_bit_identical_to_whole_array_merge(
+        self, case, mirrored, epsilon, monkeypatch
+    ):
+        # Broadcast weights sort the energies alone: a mirrored spectrum
+        # from the magnitudes of its first half, anything else by np.sort.
+        # The pairs are compared one 2^16-entry window at a time; an
+        # unmirrored pair sits at the end of the first window or at the
+        # start of the second.
+        n = 18
+        if case == "enumerated-zero-level":
+            spec = sb.enumerate_walks(
+                sb.CouplingSet(np.ones(n)), sb.EnvironmentAmplitudes.equal_superposition(n)
+            )
+        else:
+            g = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 5)
+            e = np.array(sb.enumerate_walks(g, sb.EnvironmentAmplitudes.equal_superposition(n)).energies)
+            if case.startswith("unmirrored-pair"):
+                m = (1 << 16) - case.endswith("-1")
+                e[m] = np.nextafter(e[m], np.inf)
+            elif case == "odd-size":
+                e = np.insert(e, e.size // 2, 0.0)
+            elif case == "all-zero":
+                e = np.zeros(e.size)
+                e[::3] = -0.0
+            w = np.broadcast_to(np.array([1.0 / e.size]), e.shape)
+            spec = _adopt(sb.EnergySpectrum, energies=e, weights=w, n_spins=n)
+        sorts = []
+        real_sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a: sorts.append(a.size) or real_sort(a))
+        merged = sb.merge_degenerate(spec, epsilon)
+        monkeypatch.undo()
+        assert not sorts if mirrored else sorts == [len(spec)]
+        want_e, want_w = whole_array_merge(spec.energies, spec.weights, epsilon)
         assert merged.energies.view(np.int64).tolist() == want_e.view(np.int64).tolist()
         assert merged.weights.view(np.int64).tolist() == want_w.view(np.int64).tolist()
 

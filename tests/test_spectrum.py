@@ -457,13 +457,12 @@ class TestMergeDegenerate:
         # unmirrored pair sits at the end of the first window or at the
         # start of the second.
         n = 18
+        amps = sb.EnvironmentAmplitudes.equal_superposition(n)
         if case == "enumerated-zero-level":
-            spec = sb.enumerate_walks(
-                sb.CouplingSet(np.ones(n)), sb.EnvironmentAmplitudes.equal_superposition(n)
-            )
+            spec = sb.enumerate_walks(sb.CouplingSet(np.ones(n)), amps)
         else:
             g = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 5)
-            e = np.array(sb.enumerate_walks(g, sb.EnvironmentAmplitudes.equal_superposition(n)).energies)
+            e = np.array(sb.enumerate_walks(g, amps).energies)
             if case.startswith("unmirrored-pair"):
                 m = (1 << 16) - case.endswith("-1")
                 e[m] = np.nextafter(e[m], np.inf)

@@ -38,6 +38,7 @@ from .model import decoherence_trace
 from .spectrum import (
     EnergySpectrum,
     _capped_bins,
+    _holds,
     _uniform_edges,
     default_merge_epsilon,
     enumerate_walks,
@@ -214,8 +215,7 @@ def _write_table(path: Path, columns: dict[str, _Column]) -> tuple[int, str]:
     """
     (rows,) = {len(col) for col in columns.values()}  # unpacking fails on ragged columns
     for name, col in columns.items():
-        chunks = [col.tile] if isinstance(col, _Tiled) else _pieces(col, rows)
-        if not all(np.isfinite(chunk).all() for chunk in chunks):
+        if not _holds(np.isfinite, col.tile if isinstance(col, _Tiled) else col):
             raise ValidationError(f"table column {name!r} holds a non-finite value")
     blocks = _csv_blocks if path.suffix == ".csv" else _json_blocks
     return rows, _write_hashed(path, blocks(columns, rows))

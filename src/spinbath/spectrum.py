@@ -32,8 +32,9 @@ from .model import (
 #: Ceiling on enumerable environment sizes (2^24 = 16.7M walks).
 ENUMERATION_CAP = 24
 
-#: Entries per chunk of a pass over a whole walk array: the gap scans and
-#: ``_compacted``.  Only one chunk's temporaries exist at a time.
+#: Entries per window of a pass over a whole array: ``_holds``,
+#: ``_increasing``, ``_gaps_above``, ``_sorted`` and ``_compacted``.  Only
+#: one window's temporaries exist at a time.
 _CHUNK_ROWS = 1 << 16
 
 _WEIGHT_TOL = 1e-10
@@ -59,12 +60,7 @@ class EnergySpectrum(_Value):
         # Weights are checked here only: producers build theirs from checked
         # weights.  Energies, which can overflow, or tie when merged with
         # epsilon below one ulp, are checked in _freeze on every path.
-        w = self.weights
-        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
-            raise ValidationError("spectrum weights must be finite and nonnegative")
-        total = float(np.sum(w))
-        if not abs(total - 1.0) <= _WEIGHT_TOL:
-            raise ValidationError(f"spectrum weights sum to {total!r}, not 1")
+        _probabilities(self.weights, "spectrum weights")
 
     def _freeze(self) -> None:
         n_spins = _checked_n_spins(self.n_spins)
@@ -72,9 +68,7 @@ class EnergySpectrum(_Value):
         e, w = self.energies, self.weights
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
             raise ValidationError("spectrum needs matching non-empty 1-d arrays")
-        # One window at a time, so no mask as long as the spectrum is held.
-        finite = (np.isfinite(e[lo : lo + _CHUNK_ROWS]).all() for lo in range(0, e.size, _CHUNK_ROWS))
-        if not all(finite):
+        if not _holds(np.isfinite, e):
             raise ValidationError("spectrum energies must be finite")
         if self.merged and not _increasing(e):
             raise ValidationError("merged spectrum must have strictly increasing energies")
@@ -85,12 +79,8 @@ class EnergySpectrum(_Value):
 
     def moments(self) -> tuple[float, float]:
         """Weighted mean and variance of the terminal energies."""
-        # A 0-stride weights view (equal amplitudes) would leave BLAS for
-        # numpy's own dot, which sums in another order; a contiguous copy
-        # keeps the bits.
-        w = np.ascontiguousarray(self.weights)
-        mean = float(w @ self.energies)
-        var = float(w @ np.square(self.energies - mean))
+        mean = float(np.sum(self.weights * self.energies))
+        var = float(np.sum(self.weights * np.square(self.energies - mean)))
         return mean, var
 
 
@@ -106,12 +96,9 @@ class LdosHistogram(_Value):
         edges, masses = self.edges, self.masses
         if edges.ndim != 1 or masses.ndim != 1 or edges.size != masses.size + 1:
             raise ValidationError("histogram needs len(edges) == len(masses) + 1")
-        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(masses))):
-            raise ValidationError("histogram edges and masses must be finite")
-        if not _increasing(edges):
-            raise ValidationError("histogram edges must be strictly increasing")
-        if np.any(masses < 0.0) or not abs(float(masses.sum()) - 1.0) <= _WEIGHT_TOL:
-            raise ValidationError("histogram masses must be nonnegative and sum to 1")
+        if not (_holds(np.isfinite, edges) and _increasing(edges)):
+            raise ValidationError("histogram edges must be finite and strictly increasing")
+        _probabilities(masses, "histogram masses")
 
     @property
     def centers(self) -> np.ndarray:
@@ -300,27 +287,36 @@ def _capped_bins(bins: int) -> int:
     return bins
 
 
-def _gaps_above(e: np.ndarray, threshold: float, out: np.ndarray) -> bool:
-    """Set out[i] = e[i + 1] - e[i] > threshold; return whether every gap is.
+def _gaps_above(e: np.ndarray, threshold: float, out: np.ndarray) -> None:
+    """Set out[i] = e[i + 1] - e[i] > threshold for each of the e.size - 1 gaps.
 
     The gaps are taken from windows of _CHUNK_ROWS + 1 entries that
     overlap by one, so one chunk of gaps is held, never a whole-array
-    difference.  An out shorter than the e.size - 1 gaps is one window's
-    buffer, which every window reuses.
+    difference.
     """
-    whole = out.size == e.size - 1
-    every = True
     for lo in range(0, e.size - 1, _CHUNK_ROWS):
         window = e[lo : lo + _CHUNK_ROWS + 1]
-        at = lo if whole else 0
-        above = np.greater(np.diff(window), threshold, out=out[at : at + window.size - 1])
-        every = every and bool(above.all())
-    return every
+        np.greater(np.diff(window), threshold, out=out[lo : lo + window.size - 1])
+
+
+def _holds(test, a: np.ndarray) -> bool:
+    """Whether test(window).all() on every _CHUNK_ROWS window of a: no mask as long as a."""
+    return all(test(a[lo : lo + _CHUNK_ROWS]).all() for lo in range(0, a.size, _CHUNK_ROWS))
 
 
 def _increasing(a: np.ndarray) -> bool:
-    """Whether a increases strictly, its gaps checked in one reused window."""
-    return _gaps_above(a, 0.0, np.empty(min(a.size - 1, _CHUNK_ROWS), dtype=bool))
+    """Whether a increases strictly (a NaN fails), by _CHUNK_ROWS + 1 windows overlapping by one."""
+    windows = (a[lo : lo + _CHUNK_ROWS + 1] for lo in range(0, a.size - 1, _CHUNK_ROWS))
+    return all((w[:-1] < w[1:]).all() for w in windows)
+
+
+def _probabilities(p: np.ndarray, what: str) -> None:
+    """Raise ValidationError unless p is finite, nonnegative and sums to 1 within _WEIGHT_TOL."""
+    if not _holds(lambda window: np.isfinite(window) & (window >= 0.0), p):
+        raise ValidationError(f"{what} must be finite and nonnegative")
+    total = float(np.sum(p))
+    if not abs(total - 1.0) <= _WEIGHT_TOL:
+        raise ValidationError(f"{what} sum to {total!r}, not 1")
 
 
 def _uniform_edges(lo: float, hi: float, bins: int, what: str) -> np.ndarray:
@@ -334,7 +330,7 @@ def _uniform_edges(lo: float, hi: float, bins: int, what: str) -> np.ndarray:
     first, last = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):  # last - first may overflow
         edges = np.linspace(first, last, bins + 1)
-    if not np.all(edges[:-1] < edges[1:]):
+    if not _increasing(edges):
         raise ValidationError(
             f"{bins} bins cannot split the {what} range [{lo!r}, {hi!r}] "
             "into bins with distinct finite edges"

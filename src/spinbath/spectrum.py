@@ -32,9 +32,8 @@ from .model import (
 #: Ceiling on enumerable environment sizes (2^24 = 16.7M walks).
 ENUMERATION_CAP = 24
 
-#: Entries per window of a pass over a whole array: ``_holds``,
-#: ``_increasing``, ``_gaps_above``, ``_sorted`` and ``_compacted``.  Only
-#: one window's temporaries exist at a time.
+#: Entries per window of a whole-array pass (``_holds``, ``_increasing``,
+#: ``_gaps_above``, ``_sorted``, ``_compacted``): one window's temporaries at a time.
 _CHUNK_ROWS = 1 << 16
 
 _WEIGHT_TOL = 1e-10
@@ -288,12 +287,8 @@ def _capped_bins(bins: int) -> int:
 
 
 def _gaps_above(e: np.ndarray, threshold: float, out: np.ndarray) -> None:
-    """Set out[i] = e[i + 1] - e[i] > threshold for each of the e.size - 1 gaps.
-
-    The gaps are taken from windows of _CHUNK_ROWS + 1 entries that
-    overlap by one, so one chunk of gaps is held, never a whole-array
-    difference.
-    """
+    """Set out[i] = e[i + 1] - e[i] > threshold from windows of _CHUNK_ROWS + 1
+    entries that overlap by one: one chunk of gaps is held, never a whole-array difference."""
     for lo in range(0, e.size - 1, _CHUNK_ROWS):
         window = e[lo : lo + _CHUNK_ROWS + 1]
         np.greater(np.diff(window), threshold, out=out[lo : lo + window.size - 1])

@@ -1,10 +1,13 @@
-"""Every name a library module imports is used in that module, and the
-scalar checks, count bounds among them, live in ``model.py`` alone.
+"""Every name a library module imports is used in that module, the
+scalar checks, count bounds among them, live in ``model.py`` alone, and
+no library module takes a product through BLAS.
 
 No linter runs in CI, so these checks stand in for one: a refactor that
 moves code between modules tends to leave an import behind, or a second
 copy of a ``_checked_*`` helper whose rule drifts from the first, or a
 count bound written by hand beside ``_checked_int`` instead of passed to it.
+A BLAS product's bits depend on the OpenBLAS kernel that the CPU selects,
+so one would tie an artifact to the machine that wrote it.
 ``__init__.py`` is exempt from the import check, since its imports are
 the public API.
 """
@@ -90,3 +93,29 @@ def test_check_finds_a_hand_written_bound():
     source = "if n < 1:\n    raise ValueError\nif self.m < 2:\n    raise ValueError('m')\n"
     kept = "if n < x:\n    raise ValueError\nif n < 1:\n    n = 1\nif n < 1.5:\n    raise ValueError\n"
     assert hand_written_bounds(source + kept) == [1, 3]
+
+
+#: numpy functions and array methods that take their products through BLAS.
+BLAS_CALLS = {"dot", "matmul", "vdot", "inner", "tensordot", "einsum"}
+
+
+def blas_products(source: str) -> list[int]:
+    """The lines of ``source`` that use the ``@`` operator or name one of
+    ``BLAS_CALLS`` as an attribute, such as ``np.dot`` or ``a.dot``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS)
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_multiplies_through_blas(module):
+    assert blas_products((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_a_blas_product():
+    source = "m = w @ e\nx = np.dot(a, b)\nm @= a\ny = np.einsum('i,i', a, b)\nz = a.vdot(b)\n"
+    kept = "s = np.sum(a * b)\ninner = 3\nq = a * b\n"
+    assert blas_products(source + kept) == [1, 2, 3, 4, 5]

@@ -334,6 +334,78 @@ class TestEnergySpectrum:
         assert not (spec.energies.flags.writeable or spec.weights.flags.writeable)
 
 
+#: Lengths about the seams where _CHUNK_ROWS windows meet.
+_C = spectrum_module._CHUNK_ROWS
+_SEAM_SIZES = [_C - 1, _C, _C + 1, 2 * _C + 1]
+
+
+class TestWindowedChecks:
+    """The array checks run one _CHUNK_ROWS window at a time: each gives
+    the whole-array answer at every seam, and holds no whole-array mask."""
+
+    @pytest.mark.parametrize("size", _SEAM_SIZES)
+    def test_gaps_above_fills_every_gap(self, size):
+        e = np.cumsum(np.random.default_rng(size).uniform(0.0, 2.0, size))
+        out = np.empty(size - 1, dtype=bool)
+        spectrum_module._gaps_above(e, 1.0, out)
+        assert np.array_equal(out, np.diff(e) > 1.0)
+
+    @pytest.mark.parametrize(
+        "size, index, fault",
+        [
+            (size, index, fault)
+            for size in _SEAM_SIZES
+            for index in (_C - 1, _C, _C + 1)
+            if index < size
+            for fault in ("tie", "decrease", "nan")
+        ],
+    )
+    def test_increasing_fails_at_every_seam(self, size, index, fault):
+        a = np.arange(size, dtype=float)
+        a[index] = {"tie": a[index - 1], "decrease": a[index - 1] - 0.5, "nan": np.nan}[fault]
+        assert not spectrum_module._increasing(a)
+
+    @pytest.mark.parametrize("size", _SEAM_SIZES)
+    def test_increasing_holds_without_a_fault(self, size):
+        assert spectrum_module._increasing(np.arange(size, dtype=float))
+
+    def test_increasing_compares_without_a_gap_that_overflows(self):
+        # Neighbours more than the float maximum apart; their difference
+        # would overflow, with a warning, though the order is plain.
+        assert spectrum_module._increasing(np.array([-1e308, 1e308]))
+        assert sb.EnergySpectrum([-1e308, 1e308], [0.5, 0.5], 1, merged=True).merged
+
+    @pytest.mark.parametrize("size", _SEAM_SIZES)
+    def test_holds_finds_a_nan_in_any_window(self, size):
+        a = np.zeros(size)
+        assert spectrum_module._holds(np.isfinite, a)
+        for index in sorted({0, _C - 1, _C, size - 1} & set(range(size))):
+            a[index] = np.nan
+            assert not spectrum_module._holds(np.isfinite, a), index
+            a[index] = 0.0
+
+    # 2^22 entries: a whole-array mask would be 4 MiB.  The allowance is
+    # above the constructors' own copies of their arrays.
+    _N = 1 << 22
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["walks", "merged"])
+    def test_public_spectrum_checks_hold_under_a_mib(self, merged):
+        e, w = np.arange(self._N, dtype=float), np.full(self._N, 1.0 / self._N)
+        _, peak = traced_peak(
+            lambda: sb.EnergySpectrum(energies=e, weights=w, n_spins=22, merged=merged)
+        )
+        assert peak < e.nbytes + w.nbytes + (1 << 20)
+
+    def test_public_histogram_checks_hold_under_a_mib(self):
+        edges, masses = np.arange(self._N + 1, dtype=float), np.full(self._N, 1.0 / self._N)
+        _, peak = traced_peak(lambda: sb.LdosHistogram(edges=edges, masses=masses))
+        assert peak < edges.nbytes + masses.nbytes + (1 << 20)
+
+    def test_uniform_edges_check_holds_under_a_mib(self):
+        edges, peak = traced_peak(spectrum_module._uniform_edges, 0.0, 1.0, self._N, "energy")
+        assert peak < edges.nbytes + (1 << 20)
+
+
 class TestMergeDegenerate:
     def test_distinct_energies_unchanged(self):
         spec = sb.EnergySpectrum(

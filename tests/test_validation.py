@@ -46,6 +46,18 @@ CASES = {
         lambda _: sb.LdosHistogram([0.0, 1.0], [0.5, 0.5]), "len(edges) == len(masses) + 1"
     ),
     "ldos-sum": (lambda _: sb.LdosHistogram([0.0, 1.0, 2.0], [0.6, 0.6]), "sum to 1"),
+    "ldos-nan-edge": (
+        lambda _: sb.LdosHistogram([0.0, math.nan, 2.0], [0.5, 0.5]),
+        "histogram edges must be finite and strictly increasing",
+    ),
+    "ldos-infinite-mass": (
+        lambda _: sb.LdosHistogram([0.0, 1.0, 2.0], [math.inf, 0.5]),
+        "histogram masses must be finite and nonnegative",
+    ),
+    "ldos-negative-mass": (
+        lambda _: sb.LdosHistogram([0.0, 1.0, 2.0], [-0.5, 1.5]),
+        "histogram masses must be finite and nonnegative",
+    ),
     "hamiltonian-empty": (
         lambda _: sb.DiagonalBranchHamiltonian([], []), "non-empty 1-d sequence"
     ),

@@ -21,13 +21,14 @@ digits.
 
 Every step is a correctly rounded IEEE operation, ``floor``, ``ceil``,
 ``frexp`` or int64 arithmetic, so the text does not depend on numpy's
-CPU dispatch.  k is first taken from the binary exponent and a table of
-powers of ten, and an exact range check corrects it.  For 0 <= 16 - k <= 22, that is
-1e-6 <= |x| < 1e17, 10^(16 - k) is a double and every quantity above is
-exact.  Elsewhere hi + lo carries a relative error near 2^-106, and a
-value whose V lies within ``_SLACK`` units of a rounding or interval
-boundary takes its text from ``repr`` instead, as do subnormals, whose
-half-ulp interval is too wide for the digit search.
+CPU dispatch.  k is taken from the binary exponent and a table of powers
+of ten.  For 0 <= 16 - k <= 22, that is 1e-6 <= |x| < 1e17, 10^(16 - k)
+is a double and every quantity above is exact.  Elsewhere hi + lo carries
+a relative error near 2^-106, and a value whose V lies within ``_SLACK``
+units of a rounding or interval boundary takes its text from ``repr``
+instead, as do subnormals, whose half-ulp interval is too wide for the
+digit search, and values whose V a rounded power of ten put outside
+[1e16, 1e17).
 """
 
 from __future__ import annotations
@@ -194,15 +195,9 @@ def _spell_floats(x: np.ndarray) -> np.ndarray:
     k += a >= _tens().take(k + 326)
     del a
     big, small, half, exact = _scaled(m, e, k)
-    off = np.flatnonzero((big < 1e16) | (big >= 1e17))
-    if off.size:  # a rounded power of ten beyond 1e22 can mislead k
-        k[off] += np.where(big[off] < 1e16, -1, 1)
-        for whole, part in zip((big, small, half, exact), _scaled(m[off], e[off], k[off])):
-            whole[off] = part
-    # Below 2^-1022 the interval spans more than 23 units: repr spells those,
-    # and any value a second guess at k left out of range.
-    doubt = e < -1021
-    doubt[off] |= (big[off] < 1e16) | (big[off] >= 1e17)
+    # Below 2^-1022 the interval spans more than 23 units, and a rounded
+    # power of ten beyond 1e22 can mislead k: repr spells those.
+    doubt = (e < -1021) | (big < 1e16) | (big >= 1e17)
     # The gap below a power of two is half the gap above, save at 2^-1022.
     below = half.copy()
     below[(m == 0.5) & (e > -1021)] *= 0.5

@@ -76,12 +76,6 @@ class EnergySpectrum(_Value):
     def __len__(self) -> int:
         return self.energies.size
 
-    def moments(self) -> tuple[float, float]:
-        """Weighted mean and variance of the terminal energies."""
-        mean = float(np.sum(self.weights * self.energies))
-        var = float(np.sum(self.weights * np.square(self.energies - mean)))
-        return mean, var
-
 
 @dataclass(frozen=True, eq=False)
 class LdosHistogram(_Value):
@@ -98,10 +92,6 @@ class LdosHistogram(_Value):
         if not (_holds(np.isfinite, edges) and _increasing(edges)):
             raise ValidationError("histogram edges must be finite and strictly increasing")
         _probabilities(masses, "histogram masses")
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 def enumerate_walks(couplings: CouplingSet, amps: EnvironmentAmplitudes) -> EnergySpectrum:

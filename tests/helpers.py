@@ -123,6 +123,14 @@ def every_spectrum_rebuilt():
         yield
 
 
+def spectrum_moments(spec: sb.EnergySpectrum) -> tuple[float, float]:
+    """Weighted mean and variance of the terminal energies, summed over all
+    2^N walks; ``summarize`` gives both as sums of N step moments."""
+    mean = float(np.sum(spec.weights * spec.energies))
+    var = float(np.sum(spec.weights * np.square(spec.energies - mean)))
+    return mean, var
+
+
 def brute_force_characteristic(couplings, amps, t: float) -> complex:
     """Phase sum over the itertools enumeration."""
     return sum(w * np.exp(1j * e * t) for e, w in brute_force_spectrum(couplings, amps))

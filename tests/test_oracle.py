@@ -91,22 +91,45 @@ def exact_factor_product(g, up, down, t: float) -> tuple[mpmath.mpc, mpmath.mpf]
         return r, condition
 
 
-@pytest.mark.parametrize("rule", RULES)
-@pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_trace_within_rounding_bound_of_exact_product(dist, rule):
-    couplings, amps = realization(dist, rule, 40)
+def checked_trace_times(dist: str, rule: str, n: int) -> int:
+    """Check r(t) against the rounding bound at each nonzero time of TIMES
+    whose exact |r| is normal; return how many times were checked.
+
+    Below 2^-1022 the bound does not hold: a product that falls into the
+    subnormals keeps only a few bits, and can stall at the smallest one."""
+    couplings, amps = realization(dist, rule, n)
     trace = sb.decoherence_trace(couplings, amps, TIMES)
     # r(0) is 1 by contract, while the product of the float weights is
     # (a_k + b_k)^N, which is 1 only up to rounding.
     assert trace.values[0] == 1.0
+    checked = 0
     for t, value in zip(TIMES[1:].tolist(), trace.values[1:].tolist()):
         exact, condition = exact_factor_product(
             couplings.couplings, amps.alpha_sq, amps.beta_sq, t
         )
         with mpmath.workprec(200):
+            if abs(exact) < mpmath.ldexp(1, -1022):
+                continue
             error = abs(mpmath.mpc(value) - exact)
             bound = 2 * U * abs(exact) * condition
         assert error <= bound, f"t = {t!r}: error {float(error):.3g} > bound {float(bound):.3g}"
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_trace_within_rounding_bound_of_exact_product(dist, rule):
+    assert checked_trace_times(dist, rule, 40) == TIMES.size - 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "dist, rule", [("fixed(0.7)", "fixed(0.8)"), ("lorentzian(0.4, 0.2)", "random")]
+)
+def test_trace_within_rounding_bound_of_exact_product_at_n_2000(dist, rule):
+    # With seed 7, 14 and 18 of the 20 times keep a normal |r|.
+    assert checked_trace_times(dist, rule, 2000) >= 14
 
 
 def exact_walks(g, up, down) -> tuple[list, list]:

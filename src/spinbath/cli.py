@@ -11,22 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import SETTINGS, ConfigError, build_config, load_config
+from .config import EXPERIMENTS, SETTINGS, ConfigError, build_config, load_config
 from .errors import CapacityError, DimensionMismatchError, ValidationError
-
-#: subcommand -> (experiment, help, settings beyond the [run], [model] and
-#: [grid] ones that every subcommand takes)
-_COMMANDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
-    "trace": ("trace", "run a trace experiment", ()),
-    "ensemble": ("ensemble", "run an ensemble experiment", ()),
-    "echo": ("echo", "run an echo experiment", ()),
-    "spectrum": ("spectrum", "run a spectrum experiment", ("merge", "merge_epsilon", "bins")),
-    "ldos": ("ldos", "run an ldos experiment", ("merge", "merge_epsilon", "bins")),
-    "check-average": (
-        "average-check", "compare analytic vs empirical long-time average", ("horizon", "samples")
-    ),
-    "figure": ("figure", "emit data files behind one figure", ("figure", "bins")),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = [name for name, s in SETTINGS.items() if s.section in ("run", "model", "grid") and s.help]
-    for command, (experiment, summary, extra) in _COMMANDS.items():
+    for experiment, (command, summary, extra) in EXPERIMENTS.items():
         p = sub.add_parser(command, help=summary)
         p.set_defaults(experiment=experiment)
         p.add_argument("--config", metavar="PATH", help="config file (key = value sections)")

@@ -31,7 +31,19 @@ from .ensembles import AmplitudeRule, CouplingDistribution
 from .errors import ValidationError
 from .model import TimeGrid, _checked_float, _checked_int, _checked_type
 
-EXPERIMENTS = ("trace", "spectrum", "ldos", "ensemble", "echo", "average-check", "figure")
+#: experiment -> (its subcommand, the subcommand's help, the settings it
+#: takes beyond the [run], [model] and [grid] ones that every subcommand takes)
+EXPERIMENTS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "trace": ("trace", "run a trace experiment", ()),
+    "spectrum": ("spectrum", "run a spectrum experiment", ("merge", "merge_epsilon", "bins")),
+    "ldos": ("ldos", "run an ldos experiment", ("merge", "merge_epsilon", "bins")),
+    "ensemble": ("ensemble", "run an ensemble experiment", ()),
+    "echo": ("echo", "run an echo experiment", ()),
+    "average-check": (
+        "check-average", "compare analytic vs empirical long-time average", ("horizon", "samples")
+    ),
+    "figure": ("figure", "emit data files behind one figure", ("figure", "bins")),
+}
 FIGURES = ("fig1", "fig2", "fig3")
 FORMATS = ("csv", "json")
 
@@ -65,7 +77,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; pick from {EXPERIMENTS}")
+            raise ConfigError(f"unknown experiment {self.experiment!r}; pick from {tuple(EXPERIMENTS)}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
         if self.experiment == "figure":
@@ -83,15 +95,13 @@ class RunConfig:
                     continue
                 if kind is int:
                     value = _checked_int(value, name, None if name == "seed" else 1)
+                elif kind is float:
+                    value = _checked_float(value, name, **_FLOAT_BOUNDS.get(name, {}))
                 else:
-                    value = _checked_float(value, name) if kind is float else _checked_type(value, kind, name)
+                    value = _checked_type(value, kind, name)
                 object.__setattr__(self, name, value)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.merge_epsilon is not None and self.merge_epsilon < 0.0:
-            raise ConfigError("merge_epsilon must be >= 0")
-        if self.horizon is not None and self.horizon <= 0.0:
-            raise ConfigError("horizon must be > 0")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
     def time_grid(self) -> TimeGrid:
@@ -105,6 +115,9 @@ class RunConfig:
 #: the first picks the field's check, a second allows None.  The str and
 #: Path fields are checked in __post_init__ by value.
 _FIELD_TYPES = {name: get_args(hint) or (hint,) for name, hint in get_type_hints(RunConfig).items()}
+
+#: The float fields bounded beyond finiteness, by _checked_float's keywords.
+_FLOAT_BOUNDS = {"merge_epsilon": {"least": 0.0}, "horizon": {"above": 0.0}}
 
 
 def _boolean(text: str) -> bool:

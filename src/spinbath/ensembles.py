@@ -71,8 +71,8 @@ class CouplingDistribution:
         if self.kind == "uniform" and not params[0] < params[1]:
             raise ValidationError("uniform needs lo < hi")
         width = {"gaussian": "sigma", "lorentzian": "gamma"}.get(self.kind)
-        if width and params[1] <= 0.0:
-            raise ValidationError(f"{self.kind} needs {width} > 0")
+        if width:
+            _checked_float(params[1], f"{self.kind} {width}", above=0.0)
         object.__setattr__(self, "params", params)
 
     @classmethod
@@ -117,9 +117,7 @@ class AmplitudeRule:
         if self.kind not in _AMPLITUDE_KINDS:
             raise ValidationError(f"unknown amplitude rule {self.kind!r}")
         if self.kind == "fixed":
-            up_weight = _checked_float(self.up_weight, "up_weight")
-            if not 0.0 <= up_weight <= 1.0:
-                raise ValidationError("fixed amplitude rule needs |alpha|^2 in [0, 1]")
+            up_weight = _checked_float(self.up_weight, "up_weight", least=0.0, most=1.0)
             object.__setattr__(self, "up_weight", up_weight)
         elif self.up_weight is not None:
             raise ValidationError(f"{self.kind} amplitude rule takes no parameter")
@@ -241,8 +239,8 @@ def realization_model(
     spec: EnsembleSpec, index: int
 ) -> tuple[CouplingSet, EnvironmentAmplitudes]:
     """Couplings and amplitudes of realization ``index`` of the ensemble."""
-    index = _checked_int(index, "realization index")
-    if not 0 <= index < spec.realizations:
+    index = _checked_int(index, "realization index", 0)
+    if index >= spec.realizations:
         raise ValidationError(f"realization index {index} outside 0..{spec.realizations - 1}")
     couplings = sample_couplings(spec.distribution, spec.n, spec.seed, stream=2 * index)
     amps = spec._shared_amplitudes

@@ -85,13 +85,18 @@ def summarize(couplings: CouplingSet, amps: EnvironmentAmplitudes) -> Statistics
 
 
 def gaussian_ldos(summary: StatisticsSummary, energy):
-    """Gaussian envelope of the energy distribution, evaluated at energy."""
+    """Gaussian envelope of the energy distribution, evaluated at energy:
+    a float for a scalar energy, else a read-only array."""
     if summary.variance <= 0.0:
         raise DegenerateDistributionError("zero cumulative variance: spectrum is a point mass")
     e = np.asarray(energy, dtype=np.float64)
     norm = 1.0 / math.sqrt(2.0 * math.pi * summary.variance)
     out = norm * np.exp(-np.square(e - summary.mean) / (2.0 * summary.variance))
-    return float(out) if np.isscalar(energy) else out
+    if np.isscalar(energy):
+        return float(out)
+    if isinstance(out, np.ndarray):  # a 0-d energy gives a numpy scalar
+        out.setflags(write=False)
+    return out
 
 
 def gaussian_decoherence(summary: StatisticsSummary, t) -> complex:
@@ -146,9 +151,7 @@ def lindeberg_check(
     B_N^2 contributed by step outcomes deviating from their mean by at
     least threshold * B_N.
     """
-    threshold = _checked_float(threshold, "threshold")
-    if threshold <= 0.0:
-        raise ValidationError("threshold must be positive")
+    threshold = _checked_float(threshold, "threshold", above=0.0)
     if not math.isfinite(summary.variance):
         raise ValidationError(f"cumulative variance B_N^2 overflows to {summary.variance!r}")
     total = math.sqrt(summary.variance)
@@ -206,9 +209,7 @@ def _sq_magnitude_samples(
         horizon = 100.0 * (2.0 * math.pi / slowest)
         if not math.isfinite(horizon):
             raise ValidationError(f"100 periods of slowest coupling {slowest!r} overflow; pass a horizon")
-    horizon = _checked_float(horizon, "horizon")
-    if horizon <= 0.0:
-        raise ValidationError("horizon must be positive")
+    horizon = _checked_float(horizon, "horizon", above=0.0)
     # Left-endpoint sampling of [0, horizon): the closed interval would
     # double-count the revival at both ends.
     times = horizon * np.arange(samples) / samples
@@ -258,7 +259,7 @@ def check_time_average(
     block_means = np.array([b.mean() for b in np.array_split(sq, blocks)])
     stderr = float(block_means.std(ddof=1) / math.sqrt(blocks))
     gap = abs(empirical - analytic)
-    if gap > 0.0 and stderr == 0.0:
+    if gap and not stderr:  # no bound on an argument, so no _checked_float call
         raise ValidationError(
             f"all {blocks} batch means of |r|^2 are equal, and their mean {empirical!r} "
             f"is not the closed form {analytic!r}: r(t) does not dephase within "

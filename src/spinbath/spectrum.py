@@ -23,7 +23,6 @@ from .model import (
     _adopt,
     _checked_float,
     _checked_int,
-    _checked_n_spins,
     _checked_type,
     _require_matching_sizes,
     _Value,
@@ -33,13 +32,15 @@ from .model import (
 ENUMERATION_CAP = 24
 
 #: Entries per window of a whole-array pass (``_holds``, ``_increasing``,
-#: ``_gaps_above``, ``_sorted``, ``_compacted``): one window's temporaries at a time.
+#: ``_gaps_above``, ``_sorted``, ``_compacted``, ``characteristic_function``):
+#: one window's temporaries at a time.
 _CHUNK_ROWS = 1 << 16
 
 _WEIGHT_TOL = 1e-10
 
 #: Peak bytes per bin of ``ldos`` through ``np.histogram`` (tracemalloc).
-#: Bin starts found by search peak lower, at three float64 arrays.
+#: Bin starts found by search peak lower, at three float64 arrays; walks
+#: over more than one block also hold their running masses, 8 more.
 _BYTES_PER_BIN = 41
 
 
@@ -62,7 +63,7 @@ class EnergySpectrum(_Value):
         _probabilities(self.weights, "spectrum weights")
 
     def _freeze(self) -> None:
-        n_spins = _checked_n_spins(self.n_spins)
+        n_spins = _checked_int(self.n_spins, "n_spins", 1)
         _checked_type(self.merged, bool, "merged")
         e, w = self.energies, self.weights
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
@@ -160,9 +161,7 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     into the callee, so ``merge_degenerate(enumerate_walks(c, a), eps)``
     frees the walk arrays mid-merge.  A spectrum the caller keeps is kept.
     """
-    epsilon = _checked_float(epsilon, "merge epsilon")
-    if epsilon < 0.0:
-        raise ValidationError("merge epsilon must be nonnegative")
+    epsilon = _checked_float(epsilon, "merge epsilon", least=0.0)
     e, w, n_spins = spectrum.energies, spectrum.weights, spectrum.n_spins
     one_value = w.strides == (0,)
     del spectrum
@@ -338,7 +337,8 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
     ValidationError.  The masses are those of ``np.histogram``, bit for
     bit: a merged spectrum's come from where each bin starts among its
     increasing energies, found by one ``np.searchsorted`` of numpy's
-    edges, unless the bin width is subnormal; the rest are numpy's own.
+    edges, unless the bin width is subnormal; the rest are numpy's own,
+    taken one block at a time (``_block_histogram``).
     """
     if bins is None:
         bins = math.ceil(math.sqrt(len(spectrum)))
@@ -354,7 +354,7 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
     else:
         # Walk order, or a subnormal bin width (see _sorted_masses):
         # np.histogram computes each entry's bin.
-        masses, edges = np.histogram(e, bins=bins, range=(lo, hi), weights=spectrum.weights)
+        masses = _block_histogram(e, spectrum.weights, bins, (lo, hi))
     return _adopt(LdosHistogram, edges=edges, masses=masses)
 
 
@@ -362,6 +362,19 @@ def ldos(spectrum: EnergySpectrum, bins: int | None = None) -> LdosHistogram:
 #: ``BLOCK``).  Each block's per-bin sums are added to the totals in
 #: block order, so the same blocks give the same bits.
 _HIST_BLOCK = 1 << 16
+
+
+def _block_histogram(e: np.ndarray, w: np.ndarray, bins: int, span: tuple[float, float]) -> np.ndarray:
+    """np.histogram's masses of e weighted by w over ``span``, from one
+    call per _HIST_BLOCK block, added in block order as numpy's own loop
+    adds them.  numpy ravels its weights whole first, which copies the
+    0-stride weights of equal amplitudes into an array as long as e; a
+    block's call copies only the block."""
+    masses = np.histogram(e[:_HIST_BLOCK], bins, range=span, weights=w[:_HIST_BLOCK])[0]
+    for lo in range(_HIST_BLOCK, e.size, _HIST_BLOCK):
+        block = slice(lo, lo + _HIST_BLOCK)
+        masses += np.histogram(e[block], bins, range=span, weights=w[block])[0]
+    return masses
 
 
 def _sorted_masses(e: np.ndarray, w: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -400,6 +413,22 @@ def _sorted_masses(e: np.ndarray, w: np.ndarray, edges: np.ndarray) -> np.ndarra
 
 
 def characteristic_function(spectrum: EnergySpectrum, t) -> complex:
-    """Weighted phase sum over the spectrum: sum_W p_W exp(i E_W t)."""
+    """Weighted phase sum over the spectrum: sum_W p_W exp(i E_W t).
+
+    The bits are those of ``np.sum`` over every term at once, but the
+    terms are formed one leaf of at most _CHUNK_ROWS at a time: a longer
+    range splits where numpy's complex pairwise sum splits it, at half its
+    count of doubles rounded down to a multiple of 8, and each leaf is one
+    ``np.sum``.
+    """
     t = _checked_float(t, "time")
-    return complex(np.sum(spectrum.weights * np.exp(1j * spectrum.energies * t)))
+    e, w = spectrum.energies, spectrum.weights
+
+    def total(lo: int, hi: int) -> complex:
+        size = hi - lo
+        if size <= _CHUNK_ROWS:
+            return np.sum(w[lo:hi] * np.exp(1j * e[lo:hi] * t))
+        mid = lo + (size - size % 8) // 2
+        return total(lo, mid) + total(mid, hi)
+
+    return complex(total(0, e.size))

@@ -106,7 +106,7 @@ class TestTypes:
             {"n_spins": -3},
             {"n_spins": 0},
             {"n_spins": True},
-            {"n_spins": 2.0},
+            {"n_spins": 2.5},
             {"n_spins": "2"},
         ],
         ids=["nan", "nan-real", "inf-time", "nan-time", "negative", "zero", "bool", "float", "str"],
@@ -120,6 +120,12 @@ class TestTypes:
     def test_trace_takes_numpy_integer_sizes(self):
         trace = sb.DecoherenceTrace(times=[0.0], values=[1.0], n_spins=np.int64(3))
         assert trace.n_spins == 3 and type(trace.n_spins) is int
+
+    def test_trace_stores_a_whole_number_size_as_int(self):
+        # n_spins follows the rule of every other count.
+        for n_spins in (3.0, np.float64(3.0), np.array(3)):
+            trace = sb.DecoherenceTrace(times=[0.0], values=[1.0], n_spins=n_spins)
+            assert trace.n_spins == 3 and type(trace.n_spins) is int
 
     def test_overflowing_phases_are_rejected(self):
         # g t overflows to inf and e^{i inf} is NaN: |r| <= 1 holds for

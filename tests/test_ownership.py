@@ -188,6 +188,10 @@ PRODUCERS = {
     "ldos": lambda: sb.ldos(sb.enumerate_walks(*_model()), bins=7),
     "branch_spectrum": _branch_spectrum,
     "ensemble_average_trace": _ensemble_average,
+    # A namespace, as for realization_model: gaussian_ldos returns a bare array.
+    "gaussian_ldos": lambda: SimpleNamespace(
+        density=sb.gaussian_ldos(sb.summarize(*_model()), np.linspace(-2.0, 2.0, 5))
+    ),
 }
 
 

@@ -6,8 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from spinbath.cli import _COMMANDS
-from spinbath.config import SETTINGS
+from spinbath.config import EXPERIMENTS, SETTINGS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,7 +34,7 @@ def test_cli_settings_table_matches_the_parser():
     rows = re.findall(r"^\| (\w+) \| `\[(\w+)\] (\w+)` \| (.+?) \| (.+?) \|$", readme, re.M)[1:]
     want = []
     for name, s in SETTINGS.items():
-        takers = [c for c, (_e, _h, extra) in _COMMANDS.items() if name in extra]
+        takers = [command for command, _help, extra in EXPERIMENTS.values() if name in extra]
         common = s.section in ("run", "model", "grid")
         want.append((name, s.section, s.key, "all" if common else ", ".join(takers)))
     assert [(n, sec, key, cmds) for n, sec, key, _flag, cmds in rows] == want

@@ -221,7 +221,7 @@ class TestEnergySpectrum:
             spectrum_module._adopt(sb.EnergySpectrum, energies=np.arange(4.0), weights=w, n_spins=2)
 
     @pytest.mark.parametrize(
-        "n_spins", [-3, 0, True, 2.0, "2", None], ids=["negative", "zero", "bool", "float", "str", "none"]
+        "n_spins", [-3, 0, True, 2.5, "2", None], ids=["negative", "zero", "bool", "float", "str", "none"]
     )
     def test_bad_n_spins_rejected(self, n_spins):
         with pytest.raises(sb.ValidationError, match="n_spins"):
@@ -236,6 +236,11 @@ class TestEnergySpectrum:
 
     def test_numpy_int_n_spins_stored_as_int(self):
         spec = sb.EnergySpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=np.int64(2))
+        assert type(spec.n_spins) is int and spec.n_spins == 2
+
+    def test_whole_number_float_n_spins_stored_as_int(self):
+        # n_spins follows the rule of every other count.
+        spec = sb.EnergySpectrum(energies=[0.0, 1.0], weights=[0.5, 0.5], n_spins=2.0)
         assert type(spec.n_spins) is int and spec.n_spins == 2
 
     def test_public_constructor_copies_caller_arrays(self):
@@ -688,6 +693,26 @@ class TestLdos:
         with pytest.raises(sb.ValidationError, match="strictly increasing"):
             sb.LdosHistogram(edges=edges, masses=masses)
 
+    @pytest.mark.parametrize("bins", [3, 1000, 70_000])
+    @pytest.mark.parametrize("rule", ["equal", "random"])
+    def test_walk_order_bit_identical_to_numpy_histogram(self, rule, bins):
+        # 2^18 walks: ldos takes four np.histogram calls, one per block,
+        # and equal amplitudes give 0-stride weights.
+        c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), 18, 5)
+        spec = sb.enumerate_walks(c, sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), 18, 5))
+        assert (spec.weights.strides == (0,)) == (rule == "equal")
+        assert_ldos_is_numpy_histogram(spec, bins)
+
+    def test_unmerged_peak_memory_is_one_block(self):
+        # np.histogram ravels 0-stride weights whole: at N = 20 that copy
+        # is 8 MiB and its peak 10.2 MiB above the spectrum.  Block by
+        # block it holds one block's temporaries.
+        c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), 20, 7)
+        spec = sb.enumerate_walks(c, sb.EnvironmentAmplitudes.equal_superposition(20))
+        hist, peak = traced_peak(sb.ldos, spec)
+        assert hist.masses.size == 1024
+        assert peak < 4 << 20
+
     @pytest.mark.parametrize("merged", [False, True])
     def test_bins_too_fine_for_energy_range_rejected(self, merged):
         # 10^5 bins over 2 subnormal steps cannot have distinct edges.
@@ -821,6 +846,16 @@ class TestMergedLdos:
         from_edges = spectrum_module._sorted_masses(e, spec.weights, edges)
         assert from_edges.tobytes() != masses.tobytes()
 
+    def test_subnormal_width_over_blocks_takes_np_histogram_blockwise(self):
+        # 2^17 levels one smallest subnormal apart: two blocks of the fallback.
+        n = 1 << 17
+        w = np.random.default_rng(4).random(n)
+        spec = sb.EnergySpectrum(
+            energies=np.arange(n) * 5e-324, weights=w / w.sum(), n_spins=17, merged=True
+        )
+        for bins in (3, 1000):
+            assert_ldos_is_numpy_histogram(spec, bins)
+
     def test_peak_memory_below_numpy(self):
         # One block's bin ids and the per-bin arrays, against the
         # temporaries np.histogram takes for each block's entries.
@@ -881,6 +916,31 @@ class TestMergedLdos:
 
 
 class TestCharacteristicFunction:
+    def test_leaves_give_the_bits_of_one_np_sum(self):
+        # The sum is split into leaves where numpy's complex pairwise sum
+        # splits it.  A numpy change to that rule, or to its PW_BLOCKSIZE
+        # leaf size, fails here: splitting at half the entries rounded down
+        # to a multiple of 8 gave other bits at 225 of 300 lengths.
+        rng = np.random.default_rng(38)
+        for size in rng.integers((1 << 16) + 1, 6 << 16, size=12, endpoint=True).tolist():
+            w = rng.random(size)
+            spec = sb.EnergySpectrum(
+                energies=rng.standard_normal(size) * 40.0, weights=w / w.sum(), n_spins=20
+            )
+            t = float(rng.uniform(-3.0, 3.0))
+            whole = np.sum(spec.weights * np.exp(1j * spec.energies * t))
+            assert np.complex128(sb.characteristic_function(spec, t)).tobytes() == whole.tobytes(), size
+
+    def test_peak_memory_is_a_few_leaves(self):
+        # Whole-array terms held 4 complex temporaries as long as the
+        # spectrum: 64 MiB at N = 20, 512 MiB at N = 24.
+        c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), 20, 7)
+        amps = sb.EnvironmentAmplitudes.equal_superposition(20)
+        spec = sb.enumerate_walks(c, amps)
+        chi, peak = traced_peak(sb.characteristic_function, spec, 0.3)
+        assert abs(chi - sb.decoherence_factor(c, amps, 0.3)) < 1e-10
+        assert peak < 3 << 20
+
     def test_weights_sum_at_zero_time(self):
         c, a = random_model(np.random.default_rng(2), 8)
         spec = sb.enumerate_walks(c, a)

@@ -15,6 +15,12 @@ from spinbath.config import ConfigError, load_config
 _FIXED = sb.CouplingDistribution.fixed(1.0)
 _EQUAL = sb.AmplitudeRule.equal()
 
+_COUPLINGS = sb.CouplingSet([1.0, 2.0])
+_AMPS = sb.EnvironmentAmplitudes.equal_superposition(2)
+_H = sb.DiagonalBranchHamiltonian.from_couplings(_COUPLINGS)
+_SPECTRUM = sb.enumerate_walks(_COUPLINGS, _AMPS)
+_SUMMARY = sb.summarize(_COUPLINGS, _AMPS)
+
 
 def _load_sectionless(tmp_path):
     path = tmp_path / "run.ini"
@@ -23,7 +29,7 @@ def _load_sectionless(tmp_path):
 
 
 #: Case -> (a call taking tmp_path, a fragment of its message).  Every
-#: case raises ValidationError, save the config file's ConfigError.
+#: case raises ValidationError, save the "config-" ones' ConfigError.
 CASES = {
     "amplitudes-empty": (lambda _: sb.EnvironmentAmplitudes([], []), "non-empty 1-d"),
     "amplitudes-nan": (lambda _: sb.EnvironmentAmplitudes([math.nan], [0.0]), "must be finite"),
@@ -110,27 +116,48 @@ CASES = {
             sb.CouplingSet([1.0, 2.0]), sb.EnvironmentAmplitudes.equal_superposition(2),
             horizon=-1.0,
         ),
-        "horizon must be positive",
+        "horizon must be > 0.0, got -1.0",
     ),
     "config-without-section": (_load_sectionless, "no section headers"),
+    # Each scalar bound, held by _checked_float or _checked_int, in one message form.
+    "config-merge-epsilon-negative": (
+        lambda _: sb.RunConfig("trace", merge_epsilon=-1e-9), "merge_epsilon must be >= 0.0, got -1e-09"
+    ),
+    "config-horizon-zero": (lambda _: sb.RunConfig("trace", horizon=0), "horizon must be > 0.0, got 0.0"),
+    "gaussian-sigma-zero": (
+        lambda _: sb.CouplingDistribution.gaussian(0.0, 0.0), "gaussian sigma must be > 0.0, got 0.0"
+    ),
+    "lorentzian-gamma-negative": (
+        lambda _: sb.CouplingDistribution.parse("lorentzian(0, -2)"),
+        "lorentzian gamma must be > 0.0, got -2.0",
+    ),
+    "rule-up-weight-negative": (
+        lambda _: sb.AmplitudeRule.fixed(-0.5), "up_weight must be >= 0.0, got -0.5"
+    ),
+    "rule-up-weight-above-1": (
+        lambda _: sb.AmplitudeRule.parse("fixed(1.5)"), "up_weight must be <= 1.0, got 1.5"
+    ),
+    "merge-epsilon-negative": (
+        lambda _: sb.merge_degenerate(_SPECTRUM, -1), "merge epsilon must be >= 0.0, got -1.0"
+    ),
+    "threshold-zero": (
+        lambda _: sb.lindeberg_check(_SUMMARY, 0.0), "threshold must be > 0.0, got 0.0"
+    ),
+    "realization-index-negative": (
+        lambda _: sb.realization_model(sb.EnsembleSpec(_FIXED, _EQUAL, 2, 3, 7), -1),
+        "realization index must be >= 0, got -1",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_rejection_raises_its_error(case, tmp_path):
     call, fragment = CASES[case]
-    kind = ConfigError if case == "config-without-section" else sb.ValidationError
+    kind = ConfigError if case.startswith("config-") else sb.ValidationError
     with pytest.raises(kind) as info:
         call(tmp_path)
     assert type(info.value) is kind
     assert fragment in str(info.value)
-
-
-_COUPLINGS = sb.CouplingSet([1.0, 2.0])
-_AMPS = sb.EnvironmentAmplitudes.equal_superposition(2)
-_H = sb.DiagonalBranchHamiltonian.from_couplings(_COUPLINGS)
-_SPECTRUM = sb.enumerate_walks(_COUPLINGS, _AMPS)
-_SUMMARY = sb.summarize(_COUPLINGS, _AMPS)
 
 
 def _merged(epsilon):

@@ -15,7 +15,9 @@ from .config import EXPERIMENTS, SETTINGS, ConfigError, build_config, load_confi
 from .errors import CapacityError, DimensionMismatchError, ValidationError
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is added, so usage, help and
+    errors read alike; given ``only``, only that subcommand gets options."""
     parser = argparse.ArgumentParser(
         prog="spinbath",
         description="Spin-bath dephasing experiments: traces, spectra, ensembles, echoes.",
@@ -24,6 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = [name for name, s in SETTINGS.items() if s.section in ("run", "model", "grid") and s.help]
     for experiment, (command, summary, extra) in EXPERIMENTS.items():
         p = sub.add_parser(command, help=summary)
+        if only not in (None, command):
+            continue
         p.set_defaults(experiment=experiment)
         p.add_argument("--config", metavar="PATH", help="config file (key = value sections)")
         for name in (*common, *extra):
@@ -38,7 +42,9 @@ def _fail(code: str, exc: Exception, status: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes no option but -h, so a subcommand comes first.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # Imported at call time, so that a replacement of runner.run, such as a
     # tracer's wrapper, is the one called; bound at module top, cli would call
     # the original and the runner.run span would count as cli's own time.

@@ -32,8 +32,9 @@ from .model import (
 ENUMERATION_CAP = 24
 
 #: Entries per window of a whole-array pass (``_holds``, ``_increasing``,
-#: ``_gaps_above``, ``_sorted``, ``_compacted``, ``characteristic_function``):
-#: one window's temporaries at a time.
+#: ``_gaps_above``, ``_sorted``, ``_compacted``, ``_member_chunks``,
+#: ``characteristic_function``), and members per chunk of the merge's group
+#: sums: one window's or chunk's temporaries at a time.
 _CHUNK_ROWS = 1 << 16
 
 _WEIGHT_TOL = 1e-10
@@ -68,9 +69,11 @@ class EnergySpectrum(_Value):
         e, w = self.energies, self.weights
         if e.ndim != 1 or e.size < 1 or e.shape != w.shape:
             raise ValidationError("spectrum needs matching non-empty 1-d arrays")
-        if not _holds(np.isfinite, e):
+        # Strictly increasing energies hold no NaN, and an infinity only at an end.
+        increasing = self.merged and _increasing(e)
+        if not (np.isfinite(e[0]) and np.isfinite(e[-1]) if increasing else _holds(np.isfinite, e)):
             raise ValidationError("spectrum energies must be finite")
-        if self.merged and not _increasing(e):
+        if self.merged and not increasing:
             raise ValidationError("merged spectrum must have strictly increasing energies")
         object.__setattr__(self, "n_spins", n_spins)
 
@@ -168,7 +171,7 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
     if one_value:
         # A broadcast weight is one value, so any permutation of w is w.
         # Equal energies have equal bits, save +-0.0, and the group sums
-        # below give +0.0 for either zero.
+        # give +0.0 for either zero.
         w = w[:1].copy()
         e = _sorted(e)
     else:
@@ -178,52 +181,138 @@ def merge_degenerate(spectrum: EnergySpectrum, epsilon: float) -> EnergySpectrum
         e = e[order]
         w = w[order]
         del order
-    starts = np.empty(e.size, dtype=bool)
-    starts[0] = True
-    _gaps_above(e, epsilon, out=starts[1:])
-    # Only groups with two or more members need summing: entry i is in
-    # one unless both it and entry i + 1 start groups.  Their entries are
-    # gathered first; then the levels are compacted into the sorted
-    # buffers themselves.
-    member = starts.copy()
-    member[:-1] &= starts[1:]
-    np.logical_not(member, out=member)
-    idx = np.flatnonzero(member)
-    del member
-    e_sub, head = e[idx], starts[idx]
-    w_sub = np.broadcast_to(w, idx.shape) if one_value else w[idx]
-    # A singleton group's sums are base + 0.0 and 0.0 + w, which only
-    # change -0.0 (to 0.0); adding 0.0 in place gives the same bits.
-    levels = _compacted(e, starts)
+    # Group starts, and past the last entry one more (see _member_chunks).
+    starts = np.empty(e.size + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    _gaps_above(e, epsilon, out=starts[1:-1])
+    # Only groups with two or more members need summing; that is done
+    # first, as the levels are then compacted into the sorted buffers.
+    rows, joined_e, joined_w = _joined_levels(e, w, starts)
+    levels = _compacted(e, starts[:-1])
     del e
-    levels += 0.0
+    # A singleton group's sums are base + 0.0 and 0.0 + w, which only
+    # change -0.0 (to 0.0).  The levels increase, so their zeros are one run.
+    levels[np.searchsorted(levels, 0.0) : np.searchsorted(levels, 0.0, side="right")] = 0.0
     if one_value:
+        del starts
         level_w = np.full(levels.size, w[0] + 0.0)
     else:
-        level_w = _compacted(w, starts)
+        level_w = _compacted(w, starts[:-1])
+        del starts
         level_w += 0.0
-    del w, starts
-    # A group head's level is its position less the joins before it.
-    heads = idx[head]
-    rows = heads - np.searchsorted(idx[~head], heads)
-    del idx, heads
-    group = np.cumsum(head)
-    group -= 1
-    w_sum = np.bincount(group, weights=w_sub)
+    del w
+    levels[rows] = joined_e
+    level_w[rows] = joined_w
+    return _adopt(EnergySpectrum, energies=levels, weights=level_w, n_spins=n_spins, merged=True)
+
+
+def _member_chunks(starts: np.ndarray):
+    """Positions of the entries of groups with two or more members, in
+    order, in chunks of at most _CHUNK_ROWS, found one _CHUNK_ROWS window
+    of ``starts`` at a time.  Entry i is such a member unless it and entry
+    i + 1 both start groups; ``starts`` has one more entry than the
+    spectrum, True, so the last entry is judged alike."""
+    chunk, held = np.empty(_CHUNK_ROWS, dtype=np.intp), 0
+    for lo in range(0, starts.size - 1, _CHUNK_ROWS):
+        window = starts[lo : lo + _CHUNK_ROWS + 1]
+        found = np.flatnonzero(~(window[:-1] & window[1:]))
+        found += lo
+        while found.size:
+            taken = found[: _CHUNK_ROWS - held]
+            chunk[held : held + taken.size] = taken
+            held += taken.size
+            found = found[taken.size :]
+            if held == _CHUNK_ROWS:
+                yield chunk
+                chunk, held = np.empty(_CHUNK_ROWS, dtype=np.intp), 0
+    if held:
+        yield chunk[:held]
+
+
+def _joined_levels(e: np.ndarray, w: np.ndarray, starts: np.ndarray):
+    """(rows, energies, weights) of the levels of the groups with two or
+    more members, for merge_degenerate to write over their compacted
+    first entries.
+
+    The sums are those of ``np.bincount`` over every member at once: each
+    group's terms are added in member order, from +0.0.  Members are taken
+    one chunk at a time (``_member_chunks``).  The group a chunk ends in
+    carries its level row, base energy, count and running sums into the
+    next chunk, whose bin 0 starts from them (``_bin_sums``), so each of
+    its sums goes on in order; a running sum from +0.0 is never -0.0, so
+    adding it to +0.0 changes nothing.
+    """
+    rows, energies, weights = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
+
+    def finish(level_rows, base, counts, w_sum, wd_sum, d_sum):
+        rows.append(level_rows)
+        energies.append(_group_energies(base, counts, w_sum, wd_sum, d_sum))
+        weights.append(w_sum)
+
+    carry = None
+    joins = 0  # members before the chunk that do not start a group
+    for idx in _member_chunks(starts):
+        head = starts[idx]
+        heads = np.flatnonzero(head)
+        # Bin 0 is the carried group, if any; bin g > 0 the chunk's g-th.
+        row0, *carried = carry or (0, 0.0, 1, 0.0, 0.0, 0.0)
+        first = 0 if carry else 1
+        # A head's row is its position less the joins before it.
+        level_rows = np.concatenate(([row0], idx[heads] - (joins + heads - np.arange(heads.size))))
+        joins += idx.size - heads.size
+        columns = (level_rows, *_bin_sums(e, w, idx, head, heads, carried, first))
+        # The chunk's last group may go on in the next chunk; the others end here.
+        finish(*(column[first:-1] for column in columns))
+        carry = tuple(column[-1] for column in columns)
+    if carry:
+        finish(*(np.array([value]) for value in carry))
+    return np.concatenate(rows), np.concatenate(energies), np.concatenate(weights)
+
+
+def _bin_sums(e, w, idx, head, heads, carried, first):
+    """Base energy, count and sums of weight, weight times offset and
+    offset of each bin of a member chunk: bin 0 goes on from ``carried``,
+    bin g > 0 is the group of the chunk's g-th head.  Counts and offset
+    sums are only formed when a bin from ``first`` on has no weight: a
+    group with weight does not use them.  (``np.take`` with ``mode="clip"``
+    writes straight into its ``out``; the indices are in range.)"""
+    base0, count0, w0, wd0, d0 = carried
+    group = np.empty(idx.size + 1, dtype=np.intp)
+    group[0] = 0
+    np.cumsum(head, out=group[1:])
+    base = np.empty(heads.size + 1)
+    base[0] = base0
+    np.take(e, idx[heads], out=base[1:], mode="clip")
     # Averaging offsets from each group's lowest energy keeps exactly
     # degenerate groups at their exact energy (no double rounding).
-    base = e_sub[head]
-    delta = np.subtract(e_sub, base[group], out=e_sub)
-    del e_sub
-    safe = np.where(w_sum > 0.0, w_sum, 1.0)
-    mean_delta = np.bincount(group, weights=w_sub * delta) / safe
-    if np.any(w_sum == 0.0):
-        counts = np.bincount(group)
-        plain = np.bincount(group, weights=delta) / counts
-        mean_delta = np.where(w_sum > 0.0, mean_delta, plain)
-    levels[rows] = base + mean_delta
-    level_w[rows] = w_sum
-    return _adopt(EnergySpectrum, energies=levels, weights=level_w, n_spins=n_spins, merged=True)
+    delta = np.empty(idx.size + 1)
+    delta[0] = d0
+    np.take(e, idx, out=delta[1:], mode="clip")
+    terms = np.empty(idx.size + 1)
+    delta[1:] -= np.take(base, group[1:], out=terms[1:], mode="clip")
+    terms[0] = w0
+    if w.size == 1:  # one broadcast weight
+        terms[1:] = w[0]
+    else:
+        np.take(w, idx, out=terms[1:], mode="clip")
+    w_sum = np.bincount(group, weights=terms)
+    np.multiply(terms[1:], delta[1:], out=terms[1:])
+    terms[0] = wd0
+    wd_sum = np.bincount(group, weights=terms)
+    if w_sum[first:].all():
+        return base, np.ones(base.size, dtype=np.intp), w_sum, wd_sum, np.zeros(base.size)
+    counts = np.bincount(group)
+    counts[0] += count0 - 1
+    return base, counts, w_sum, wd_sum, np.bincount(group, weights=delta)
+
+
+def _group_energies(base, counts, w_sum, wd_sum, d_sum) -> np.ndarray:
+    """Each group's level: base plus its weight-averaged offset, or its
+    plain average offset when it has no weight."""
+    mean_delta = wd_sum / np.where(w_sum > 0.0, w_sum, 1.0)
+    if not w_sum.all():
+        mean_delta = np.where(w_sum > 0.0, mean_delta, d_sum / counts)
+    return base + mean_delta
 
 
 def _sorted(e: np.ndarray) -> np.ndarray:
@@ -234,15 +323,22 @@ def _sorted(e: np.ndarray) -> np.ndarray:
     When every such pair does, the sorted values are the sorted
     magnitudes of the first half, below them their negated reverse; zeros
     there come out as -0.0.  Pairs are compared one _CHUNK_ROWS window at
-    a time; an odd n or any unequal pair takes np.sort.
+    a time, against the mirror image negated into the lower half of the
+    output, which is filled last, and each window's magnitudes are written
+    as it passes; an odd n or any unequal pair takes np.sort.
     """
     n = e.size
     half = n // 2
-    windows = ((lo, min(lo + _CHUNK_ROWS, half)) for lo in range(0, half, _CHUNK_ROWS))
-    if n % 2 or not all(np.array_equal(e[lo:hi], -e[n - hi : n - lo][::-1]) for lo, hi in windows):
+    if n % 2:
         return np.sort(e)
     out = np.empty(n)
-    upper = np.abs(e[:half], out=out[half:])
+    for lo in range(0, half, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, half)
+        if not np.array_equal(e[lo:hi], np.negative(e[n - hi : n - lo][::-1], out=out[lo:hi])):
+            del out
+            return np.sort(e)
+        np.abs(e[lo:hi], out=out[half + lo : half + hi])
+    upper = out[half:]
     upper.sort()
     np.negative(upper[::-1], out=out[:half])
     return out

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbath import runner
-from spinbath.cli import main
+from spinbath.cli import build_parser, main
 from spinbath.config import SETTINGS, RunConfig
 from spinbath.ensembles import _COUPLING_KINDS
 
@@ -545,6 +545,34 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, argv, config, where
 def test_unknown_choice_is_a_config_error(tmp_path, capsys, argv):
     assert main([*argv, "--out-dir", str(tmp_path / "bad")]) == 2
     assert "error[config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ldos", "stray"],
+        ["spectrum", "--n", "3", "stray", "--merge"],
+        ["figure", "--which", "fig1", "--nope"],
+        ["ldos", "--n"],
+        ["bogus"],
+        [],
+        ["--help"],
+        ["echo", "--help"],
+    ],
+    ids=["stray-positional", "stray-between-flags", "unknown-flag", "missing-value",
+         "unknown-command", "no-command", "help", "subcommand-help"],
+)
+def test_parser_of_one_subcommand_speaks_as_the_full_parser(capsys, argv):
+    # main builds options for the named subcommand only; what argparse
+    # prints, and its exit code, must be those of the full parser.
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exit_info:
+            parse()
+        return exit_info.value.code, capsys.readouterr()
+
+    want = outcome(lambda: build_parser().parse_args(argv))
+    assert outcome(lambda: main(argv)) == want
+    assert want[0] in (0, 2)
 
 
 COMMON_FLAGS = {

@@ -1,6 +1,7 @@
 """Tests for walk enumeration, merging, histograms and the characteristic function."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -201,6 +202,28 @@ class TestEnergySpectrum:
         with pytest.raises(sb.ValidationError, match="finite"):
             sb.EnergySpectrum(energies=energies, weights=weights, n_spins=1)
 
+    @pytest.mark.parametrize(
+        "energies",
+        [[np.nan], [-np.inf, 0.0], [0.0, np.inf], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0]],
+        ids=["nan", "-inf-first", "inf-last", "nan-inside", "inf-inside"],
+    )
+    def test_merged_non_finite_energies_named_before_their_order(self, energies):
+        # Increasing energies are checked for finiteness at their ends
+        # only; out of order, every entry is, and finiteness is named first.
+        w = np.full(len(energies), 1.0 / len(energies))
+        with pytest.raises(sb.ValidationError, match="energies must be finite"):
+            sb.EnergySpectrum(energies=energies, weights=w, n_spins=1, merged=True)
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_increasing_energies_skip_the_finiteness_scan(self, merged, monkeypatch):
+        tests = []
+        real_holds = spectrum_module._holds
+        monkeypatch.setattr(
+            spectrum_module, "_holds", lambda test, a: tests.append(test) or real_holds(test, a)
+        )
+        sb.EnergySpectrum(energies=np.arange(4.0), weights=np.full(4, 0.25), n_spins=2, merged=merged)
+        assert (np.isfinite in tests) is not merged
+
     @pytest.mark.parametrize("weight, match", [(np.nan, "finite"), (-0.25, "nonnegative")])
     @pytest.mark.parametrize("shared", [True, False], ids=["broadcast", "contiguous"])
     def test_bad_weight_rejected_before_sum(self, weight, match, shared):
@@ -276,29 +299,30 @@ class TestEnergySpectrum:
         assert peak < 48 * 2**20
 
     @pytest.mark.parametrize(
-        "couplings, rule, walk_arrays",
+        "n, couplings, rule, walk_arrays",
         [
-            pytest.param("gaussian(0, 1)", "equal", 2.5, id="equal-2.5"),
-            pytest.param("gaussian(0, 1)", "random", 3.75, id="random-3.75"),
-            pytest.param("fixed(1.0)", "equal", 4.0, id="heavy-merge-equal-4.0"),
-            pytest.param("fixed(1.0)", "random", 6.0, id="heavy-merge-random-6.0"),
+            pytest.param(18, "gaussian(0, 1)", "equal", 2.1, id="equal-2.1"),
+            pytest.param(18, "gaussian(0, 1)", "random", 3.75, id="random-3.75"),
+            pytest.param(18, "fixed(1.0)", "equal", 2.75, id="heavy-merge-equal-2.75"),
+            pytest.param(18, "fixed(1.0)", "random", 3.75, id="heavy-merge-random-3.75"),
+            pytest.param(20, "fixed(1.0)", "equal", 2.0, id="n20-heavy-merge-equal-2.0"),
+            pytest.param(20, "fixed(1.0)", "random", 3.5, id="n20-heavy-merge-random-3.5"),
         ],
     )
-    def test_merge_peak_in_walk_arrays(self, couplings, rule, walk_arrays):
-        # N = 18, one walk array is 2 MiB.  With Gaussian couplings nearly
-        # every level is a singleton: the sorted energies (and sorted
-        # weights, if any) are compacted in place into the two outputs;
-        # equal weights add a level weight array, random weights the
-        # argsort permutation while gathering.  Gap scans hold one
-        # 2^16-gap window (1/4 array), masks 1/8 array each; the
-        # group-start mask is freed before the result checks its order,
-        # one window at a time.  Equal couplings merge every walk into
-        # N + 1 levels: the indices, energies (and weights) of every
-        # multi-member entry are gathered beside the sorted buffers (3.25
-        # arrays, 5.25 with weights), the group sums offset the gathered
-        # energies in place, and the few levels are copied out of the
-        # sorted buffers, which are freed.
-        n = 18
+    def test_merge_peak_in_walk_arrays(self, n, couplings, rule, walk_arrays):
+        # One walk array is 2 MiB at N = 18, 8 MiB at N = 20.  With
+        # Gaussian couplings nearly every level is a singleton: the sorted
+        # energies (and sorted weights, if any) are compacted in place into
+        # the two outputs; equal weights add a level weight array once the
+        # group-start mask (1/8 array) is freed, random weights hold the
+        # argsort permutation while gathering (3 arrays).  Gap scans hold
+        # one 2^16-gap window, and the result checks its order one window
+        # at a time.  Equal couplings merge every walk into N + 1 levels:
+        # their group sums run over chunks of 2^16 members, about 2 MiB of
+        # temporaries beside the sorted buffers and the mask, and the few
+        # levels are copied out of the sorted buffers, which are freed.
+        # Gathering every member at once held 3.25 arrays (5.25 with
+        # weights) at both sizes.
         dist = sb.CouplingDistribution.parse(couplings)
         c = sb.sample_couplings(dist, n, 5)
         a = sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), n, 5)
@@ -312,15 +336,16 @@ class TestEnergySpectrum:
 
     @pytest.mark.parametrize(
         "rule, walk_arrays",
-        [pytest.param("equal", 2.5, id="equal-2.5"), pytest.param("random", 4.25, id="random-4.25")],
+        [pytest.param("equal", 2.1, id="equal-2.1"), pytest.param("random", 4.25, id="random-4.25")],
     )
     def test_merge_of_fresh_walks_peak_in_walk_arrays(self, rule, walk_arrays):
         # N = 18 with Gaussian couplings, enumeration included.  No name
         # holds the walk spectrum, so the merge frees its energies once
-        # they are sorted (equal weights: sorted copy, level weights and
-        # one gap window; 3.5 arrays while the walks were held) or
-        # gathered (random weights: walk weights, permutation and both
-        # gathered copies at most; 5.0 while held).
+        # they are sorted (equal weights: the walks and their sorted copy,
+        # then the sorted copy and level weights, the group-start mask
+        # freed between; 3.5 arrays while the walks were held) or gathered
+        # (random weights: walk weights, permutation and both gathered
+        # copies at most; 5.0 while held).
         n = 18
         c = sb.sample_couplings(sb.CouplingDistribution.gaussian(0.0, 1.0), n, 5)
         a = sb.sample_amplitudes(sb.AmplitudeRule.parse(rule), n, 5)
@@ -560,6 +585,29 @@ class TestMergeDegenerate:
         want_e, want_w = whole_array_merge(spec.energies, spec.weights, epsilon)
         assert merged.energies.view(np.int64).tolist() == want_e.view(np.int64).tolist()
         assert merged.weights.view(np.int64).tolist() == want_w.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+    def test_member_chunks_bit_identical_to_whole_array_merge(self, chunk, monkeypatch):
+        # With chunks this small, groups span chunks and carry their sums
+        # into the next.  fixed(0.0) couplings make one group of every walk,
+        # and fixed(0.0) amplitudes groups with no weight, whose energies
+        # differ at epsilon 0.05 with Gaussian couplings.
+        monkeypatch.setattr(spectrum_module, "_CHUNK_ROWS", chunk)
+        for n, couplings, amplitudes, epsilon in itertools.product(
+            (1, 6, 11),
+            ("fixed(1.0)", "fixed(0.0)", "gaussian(0, 1)"),
+            ("equal", "random", "fixed(0.0)"),
+            (0.0, 0.05, 2.5),
+        ):
+            spec = sb.enumerate_walks(
+                sb.sample_couplings(sb.CouplingDistribution.parse(couplings), n, 5),
+                sb.sample_amplitudes(sb.AmplitudeRule.parse(amplitudes), n, 5),
+            )
+            merged = sb.merge_degenerate(spec, epsilon)
+            want_e, want_w = whole_array_merge(spec.energies, spec.weights, epsilon)
+            case = (n, couplings, amplitudes, epsilon)
+            assert merged.energies.tobytes() == want_e.tobytes(), case
+            assert merged.weights.tobytes() == want_w.tobytes(), case
 
     def test_merged_order_checked_across_chunk_boundary(self):
         # Only the pair 2^16 - 1 | 2^16, where gap windows meet, is out of order.
